@@ -29,6 +29,8 @@ from .simulator import Witness
 # Seed for the randomized restarts of the generic optimizer; fixed so that
 # reported traces are reproducible.
 DEFAULT_SEED = 20240601
+# Grid points per batch of the generic optimizer's exhaustive grid.
+GRID_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -106,42 +108,26 @@ def _effect_four_vector(effect: qcore.Effect) -> np.ndarray:
     return np.array([w, *v])
 
 
-def _terms_by_history(witness: Witness) -> dict[tuple[tuple[int, int], ...], float]:
-    table: dict[tuple[tuple[int, int], ...], float] = {}
-    for settings, outcomes, coeff in witness.terms:
-        key = tuple(zip(settings, outcomes))
-        table[key] = table.get(key, 0.0) + coeff
-    return table
+def _nested_bound(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Backward loop over the levels of the measurement tree.
 
-
-def _nested_bound(witness: Witness, ops: np.ndarray) -> np.ndarray:
-    """Backward recursion over measurement histories.
-
-    ``ops[..., x, a, :]`` holds the 4-vector of effect ``a|x``; leading axes
-    are batch axes. The value of a history is the largest eigenvalue of the
-    sum of child values weighted by their effects, which for ``w 1 + v.sigma``
-    is ``w + |v|``; leaves carry the witness coefficients.
+    ``coeffs`` is a witness's coefficient history tensor and
+    ``ops[..., x, a, :]`` the 4-vector of effect ``a|x``, with leading batch
+    axes. Each level contracts the last ``(x, a)`` pair of the values with
+    the effects; the value of a history is the largest eigenvalue of that
+    sum, which for ``w 1 + v.sigma`` is ``w + |v|``.
     """
-    length = witness.scenario.length
-    m, d = witness.scenario.settings, witness.scenario.outcomes
-    coeffs = _terms_by_history(witness)
     batch = ops.shape[:-3]
-
-    def value(history: tuple[tuple[int, int], ...]):
-        if len(history) == length:
-            return coeffs.get(history, 0.0)
-        op = np.zeros(batch + (4,))
+    m, d = ops.shape[-3:-1]
+    values = coeffs
+    for level in range(coeffs.ndim // 2, 0, -1):
+        effects = ops.reshape(batch + (1,) * (2 * level - 2) + ops.shape[-3:])
+        op = 0.0
         for x in range(m):
             for a in range(d):
-                child = np.asarray(value(history + ((x, a),)))
-                if child.ndim:
-                    child = child[..., None]
-                op = op + child * ops[..., x, a, :]
-        return op[..., 0] + np.sqrt(
-            op[..., 1] ** 2 + op[..., 2] ** 2 + op[..., 3] ** 2
-        )
-
-    return value(())
+                op = op + values[..., x, a, None] * effects[..., x, a, :]
+        values = op[..., 0] + np.sqrt(op[..., 1] ** 2 + op[..., 2] ** 2 + op[..., 3] ** 2)
+    return values
 
 
 def _check_two_setting_binary(witness: Witness) -> None:
@@ -181,7 +167,7 @@ def nested_generic_bound(
             np.stack([_effect_four_vector(plus1), _effect_four_vector(qcore.complement(plus1))]),
         ]
     )
-    return float(_nested_bound(witness, ops))
+    return float(_nested_bound(witness.coefficients, ops))
 
 
 def _ops_from_parameters(s0, b0, s1, b1, cg) -> np.ndarray:
@@ -308,19 +294,24 @@ def optimize_qubit_bound(
     _check_two_setting_binary(witness)
     box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
 
+    coeffs = witness.coefficients
+
     def objective_batch(z: Sequence[np.ndarray]) -> np.ndarray:
-        return _nested_bound(witness, _ops_from_parameters(*z))
+        return _nested_bound(coeffs, _ops_from_parameters(*z))
 
     def objective(z: np.ndarray) -> float:
         return float(objective_batch(tuple(z)))
 
     axes = _grid_axes(box, grid_resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    values = objective_batch(mesh)
-    flat = values.ravel()
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    # Chunks bound the memory of the level tensors on fine grids.
+    flat = np.concatenate([
+        objective_batch(chunk.T)
+        for chunk in np.split(grid, range(GRID_CHUNK, len(grid), GRID_CHUNK))
+    ])
     evaluations = flat.size
     order = np.argsort(flat)[::-1][:10]
-    starts = [np.array([m.ravel()[k] for m in mesh]) for k in order]
+    starts = [grid[k] for k in order]
 
     rng = np.random.default_rng(seed)
     for _ in range(restarts):

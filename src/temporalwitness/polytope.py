@@ -10,7 +10,6 @@ assigning an outcome to every setting prefix.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -21,7 +20,6 @@ from .simulator import (
     GuardExceeded,
     Scenario,
     Witness,
-    decode_index,
     encode_sequence,
 )
 
@@ -65,83 +63,46 @@ class AoTConstraint:
         )
 
 
-def _integer_row_reduce(basis: list[list[int]], row: list[int]) -> list[int] | None:
-    """Reduce ``row`` against a pivot basis using fraction-free elimination.
-
-    Returns the reduced row (gcd-normalized) if it is independent of the
-    basis, else None. The basis rows are kept in leading-pivot form; exact
-    integer arithmetic avoids any tolerance question for these +-1 systems.
-    """
-    for pivot_row in basis:
-        lead = next(k for k, v in enumerate(pivot_row) if v != 0)
-        if row[lead] != 0:
-            pv, rv = pivot_row[lead], row[lead]
-            row = [pv * r - rv * p for r, p in zip(row, pivot_row)]
-    if all(v == 0 for v in row):
-        return None
-    g = 0
-    for v in row:
-        g = math.gcd(g, abs(v))
-    return [v // g for v in row]
-
-
 def aot_constraints(scenario: Scenario) -> list[AoTConstraint]:
     """All prefix-marginal AoT equalities, with a maximal linearly
     independent subset flagged.
 
     Independence is counted modulo normalization (every setting sequence's
-    outcomes summing to one), matching the number of equality constraints
-    that cut the normalized table space down to the AoT polytope.
+    outcomes summing to one). The flagged subset compares the all-zero
+    completion with each completion that differs from it only in the next
+    setting, for every outcome prefix but the all-last one: the next
+    setting may not move a prefix marginal, and the all-last outcome prefix
+    follows from the others by normalization.
     """
     m, d, length = scenario.settings, scenario.outcomes, scenario.length
-    ncols = scenario.num_setting_sequences * scenario.num_outcome_sequences
-
-    def vector(plus: Sequence[tuple[int, int]], minus: Sequence[tuple[int, int]]) -> list[int]:
-        row = [0] * ncols
-        for i, j in plus:
-            row[i * scenario.num_outcome_sequences + j] += 1
-        for i, j in minus:
-            row[i * scenario.num_outcome_sequences + j] -= 1
-        return row
-
-    basis: list[list[int]] = []
-    for x_idx in range(scenario.num_setting_sequences):
-        cells = [(x_idx, j) for j in range(scenario.num_outcome_sequences)]
-        reduced = _integer_row_reduce(basis, vector(cells, []))
-        if reduced is not None:
-            basis.append(reduced)
-
     constraints: list[AoTConstraint] = []
     for k in range(1, length):
+        completions = list(itertools.product(range(m), repeat=length - k))
         for x_prefix in itertools.product(range(m), repeat=k):
             for a_prefix in itertools.product(range(d), repeat=k):
-                completions = list(itertools.product(range(m), repeat=length - k))
                 for comp_a, comp_b in itertools.combinations(completions, 2):
-                    con = AoTConstraint(
+                    constraints.append(AoTConstraint(
                         prefix_len=k,
                         setting_prefix=x_prefix,
                         outcome_prefix=a_prefix,
                         completion_a=comp_a,
                         completion_b=comp_b,
-                    )
-                    plus, minus = con.cells(scenario)
-                    reduced = _integer_row_reduce(basis, vector(plus, minus))
-                    if reduced is not None:
-                        basis.append(reduced)
-                        con = AoTConstraint(
-                            con.prefix_len,
-                            con.setting_prefix,
-                            con.outcome_prefix,
-                            con.completion_a,
-                            con.completion_b,
-                            independent=True,
-                        )
-                    constraints.append(con)
+                        independent=not any(comp_a) and not any(comp_b[1:])
+                        and a_prefix != (d - 1,) * k,
+                    ))
     return constraints
 
 
 def independent_constraint_count(scenario: Scenario) -> int:
-    return sum(1 for con in aot_constraints(scenario) if con.independent)
+    """The number of independent AoT constraints in closed form.
+
+    Normalized tables have ``m^L (d^L - 1)`` free entries; AoT tables are
+    the factorized ones, with ``d - 1`` free conditionals per context
+    ``(x_1 a_1 .. x_t)``, of which there are ``m^t d^(t-1)`` at step ``t``.
+    """
+    m, d, length = scenario.settings, scenario.outcomes, scenario.length
+    contexts = sum(m**t * d ** (t - 1) for t in range(1, length + 1))
+    return m**length * (d**length - 1) - (d - 1) * contexts
 
 
 def check_aot(table: CorrelationTable, tol: float = 1e-10) -> list[tuple[AoTConstraint, float]]:
@@ -205,8 +166,8 @@ def strategy_to_table(strategy: DeterministicStrategy) -> CorrelationTable:
     """The 0/1 correlation table of a strategy; satisfies AoT exactly."""
     sc = strategy.scenario
     probs = np.zeros((sc.num_setting_sequences, sc.num_outcome_sequences))
-    for x_idx in range(sc.num_setting_sequences):
-        x_seq = decode_index(x_idx, sc.settings, sc.length)
+    x_seqs = itertools.product(range(sc.settings), repeat=sc.length)
+    for x_idx, x_seq in enumerate(x_seqs):
         a_seq = strategy.outcome_sequence(x_seq)
         probs[x_idx, encode_sequence(a_seq, sc.outcomes)] = 1.0
     return CorrelationTable(scenario=sc, probs=probs)
@@ -214,29 +175,43 @@ def strategy_to_table(strategy: DeterministicStrategy) -> CorrelationTable:
 
 def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]:
     """Exact maximum of a witness over all deterministic strategies,
-    together with every maximizer (lexicographic order)."""
-    best = -math.inf
-    maximizers: list[DeterministicStrategy] = []
-    m = witness.scenario.settings
-    term_checks = [
-        (
-            tuple(
-                (t, encode_sequence(settings[: t + 1], m), outcomes[t])
-                for t in range(witness.scenario.length)
-            ),
-            coeff,
-        )
-        for settings, outcomes, coeff in witness.terms
+    together with every maximizer (lexicographic order).
+
+    A backward loop over the levels of the coefficient tensor takes the
+    best outcome at each history and sums over the next setting. The
+    maximizers are the strategies that pick a best outcome (to within
+    1e-12) at every history on their path, so they are counted, and then
+    built, without enumerating the other strategies.
+    """
+    sc = witness.scenario
+    values = witness.coefficients
+    count = np.ones(values.shape)  # maximizing continuations of each history
+    best = []
+    for _ in range(sc.length):
+        top = values.max(axis=-1, keepdims=True)
+        best.append(values >= top - 1e-12)
+        count = np.where(best[-1], count, 0.0).sum(axis=-1).prod(axis=-1)
+        values = top[..., 0].sum(axis=-1)
+    best.reverse()
+    if count > ENUMERATION_GUARD:
+        raise GuardExceeded(f"{float(count):.0f} maximizing strategies exceed the guard")
+
+    # Extend the partial maximizers node by node in enumeration order, each
+    # by every best outcome at the history its moves lead the node to.
+    partial: list[dict[tuple[int, ...], int]] = [{}]
+    for t in range(sc.length):
+        for prefix in itertools.product(range(sc.settings), repeat=t + 1):
+            extended = []
+            for moves in partial:
+                history = [v for s in range(t) for v in (prefix[s], moves[prefix[: s + 1]])]
+                for a in np.flatnonzero(best[t][(*history, prefix[t])]):
+                    extended.append({**moves, prefix: int(a)})
+            partial = extended
+    maximizers = [
+        DeterministicStrategy(scenario=sc, moves=tuple(
+            tuple(a for prefix, a in moves.items() if len(prefix) == t)
+            for t in range(1, sc.length + 1)
+        ))
+        for moves in partial
     ]
-    for strategy in enumerate_deterministic_strategies(witness.scenario):
-        moves = strategy.moves
-        value = 0.0
-        for checks, coeff in term_checks:
-            if all(moves[t][prefix] == outcome for t, prefix, outcome in checks):
-                value += coeff
-        if value > best + 1e-12:
-            best = value
-            maximizers = [strategy]
-        elif abs(value - best) <= 1e-12:
-            maximizers.append(strategy)
-    return best, maximizers
+    return float(values), maximizers

@@ -124,7 +124,7 @@ class MeasureAndPrepare:
 
 
 def _pure_ket(state: DensityMatrix) -> np.ndarray:
-    vals, vecs = qcore.hermitian_eig(state.mat)
+    vals, vecs = np.linalg.eigh(state.mat)
     if vals[-1] < 1.0 - 1e-9:
         raise ValueError("state is not pure")
     return vecs[:, -1]
@@ -132,7 +132,7 @@ def _pure_ket(state: DensityMatrix) -> np.ndarray:
 
 def _prepare_kraus(effect: Effect, prep_ket: np.ndarray) -> KrausMap:
     """Kraus operators of ``rho -> tr(E rho) |prep><prep|``."""
-    vals, vecs = qcore.hermitian_eig(effect.mat)
+    vals, vecs = np.linalg.eigh(effect.mat)
     ops = [
         math.sqrt(val) * np.outer(prep_ket, vecs[:, k].conj())
         for k, val in enumerate(vals)

@@ -7,7 +7,6 @@ dims 2 and 3 but nothing here assumes a fixed size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -83,64 +82,6 @@ def ketbra(dim: int, i: int, j: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: closed form for dim 2, cyclic Jacobi above.
-# Dims never exceed 8 here, so no external solver is involved; numpy's
-# eigh serves only as a test oracle.
-# ---------------------------------------------------------------------------
-
-def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
-    a = _as_square_complex(mat)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    if n == 2:
-        mean = 0.5 * (a[0, 0].real + a[1, 1].real)
-        rad = math.hypot(0.5 * (a[0, 0].real - a[1, 1].real), abs(a[0, 1]))
-        return np.array([mean - rad, mean + rad])
-    vals, _ = hermitian_eig(a)
-    return vals
-
-
-def hermitian_eig(mat: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(values, vectors)`` with values ascending and vectors as
-    columns, so that ``mat @ vectors[:, k] == values[k] * vectors[:, k]``.
-    """
-    a = _as_square_complex(mat).copy()
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)
-    vecs = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, float(np.max(np.abs(a[p, p + 1:]))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                phi = math.atan2(apq.imag, apq.real)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
-                c, s = math.cos(theta), math.sin(theta)
-                e = complex(math.cos(phi), math.sin(phi))
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = -s * e
-                rot[q, p] = s * np.conj(e)
-                a = rot.conj().T @ a @ rot
-                vecs = vecs @ rot
-    vals = np.diag(a).real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-# ---------------------------------------------------------------------------
 # Validated value types. All are immutable after construction; every
 # operation below is a pure function, so concurrent use is safe.
 # ---------------------------------------------------------------------------
@@ -157,7 +98,7 @@ class DensityMatrix:
         tr = arr.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        lo = hermitian_eigenvalues(arr)[0]
+        lo = np.linalg.eigvalsh(arr)[0]
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "mat", _freeze(arr))
@@ -193,7 +134,7 @@ class Effect:
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.mat)
         _check_hermitian(arr, "effect")
-        vals = hermitian_eigenvalues(arr)
+        vals = np.linalg.eigvalsh(arr)
         if vals[0] < -PSD_TOL or vals[-1] > 1.0 + PSD_TOL:
             raise ValueError(
                 f"effect spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] not within [0, 1]"
@@ -224,7 +165,7 @@ class KrausMap:
         if len(dims) != 1:
             raise DimensionMismatchError("Kraus operators have mixed dimensions")
         total = sum(op.conj().T @ op for op in ops)
-        vals = hermitian_eigenvalues(total)
+        vals = np.linalg.eigvalsh(total)
         if vals[0] < -PSD_TOL or vals[-1] > 1.0 + PSD_TOL:
             raise ValueError("Kraus map is not trace-nonincreasing")
         object.__setattr__(self, "operators", ops)
@@ -319,9 +260,12 @@ def idle(phase1: float = 0.0, phase2: float = 0.0) -> Unitary:
 
 def apply_map(kmap: KrausMap, state: DensityMatrix | np.ndarray) -> np.ndarray:
     """Apply ``rho -> sum_i M_i rho M_i^dag`` and return the unnormalized
-    post-measurement matrix; its trace is the branch probability."""
+    post-measurement matrix; its trace is the branch probability.
+
+    Matrices stacked on leading axes are mapped one by one.
+    """
     rho = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    if rho.shape != (kmap.dim, kmap.dim):
+    if rho.ndim < 2 or rho.shape[-2:] != (kmap.dim, kmap.dim):
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match map dim {kmap.dim}"
         )

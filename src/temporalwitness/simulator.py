@@ -3,6 +3,18 @@
 Tables are dense arrays indexed by integer encodings of setting and outcome
 sequences (first time step = most significant digit), which is simplest and
 exact for the short sequences this library targets.
+
+Every table of a scenario with ``m`` settings, ``d`` outcomes and length
+``L`` also has a *history tensor* view of shape ``(m, d) * L``, with axes
+interleaved as ``x_1, a_1, ..., x_L, a_L``: one entry per leaf of the tree
+of measurement histories. Both encodings put the first step in the most
+significant digit, so the view is a reshape and a transpose
+(:meth:`Scenario.to_history`, inverted by :meth:`Scenario.from_history`),
+and :attr:`Witness.coefficients` lays witness terms out the same way. The
+last two axes are the last step, so summing or contracting them moves one
+level up the tree: the simulator, readout noise, the AoT statistics, the
+nested qubit bound and the algebraic maximum are all loops over levels of
+this tensor, and only this module knows the encoding.
 """
 
 from __future__ import annotations
@@ -17,9 +29,8 @@ from .qcore import apply_map
 
 TABLE_GUARD = 10**7
 
-# History of completed steps, as (setting, true outcome index) pairs.
-History = tuple[tuple[int, int], ...]
-DetectionResolver = Callable[[History, int, int], str]
+# Fluorescence kind of the branch (setting, true outcome index).
+DetectionResolver = Callable[[int, int], str]
 
 
 class GuardExceeded(RuntimeError):
@@ -69,6 +80,20 @@ class Scenario:
     @property
     def num_outcome_sequences(self) -> int:
         return self.outcomes**self.length
+
+    def to_history(self, table: np.ndarray) -> np.ndarray:
+        """History-tensor view of a ``(setting sequence, outcome sequence)``
+        array."""
+        length = self.length
+        arr = np.reshape(table, (self.settings,) * length + (self.outcomes,) * length)
+        return arr.transpose([t + length * j for t in range(length) for j in (0, 1)])
+
+    def from_history(self, tensor: np.ndarray) -> np.ndarray:
+        """The ``(setting sequence, outcome sequence)`` array of a history
+        tensor; inverse of :meth:`to_history`."""
+        steps = range(0, 2 * self.length, 2)
+        arr = np.transpose(tensor, [*steps, *(t + 1 for t in steps)])
+        return arr.reshape(self.num_setting_sequences, self.num_outcome_sequences)
 
 
 def format_setting_sequence(seq: Sequence[int]) -> str:
@@ -158,6 +183,15 @@ class Witness:
                 raise ValueError("witness term uses an unknown outcome")
 
     @property
+    def coefficients(self) -> np.ndarray:
+        """The terms as a history tensor, coefficients summed per cell."""
+        sc = self.scenario
+        tensor = np.zeros((sc.settings, sc.outcomes) * sc.length)
+        for settings, outcomes, coeff in self.terms:
+            tensor[tuple(v for pair in zip(settings, outcomes) for v in pair)] += coeff
+        return tensor
+
+    @property
     def setting_sequences(self) -> tuple[tuple[int, ...], ...]:
         """The distinct setting sequences appearing in the terms, in order."""
         seen: dict[tuple[int, ...], None] = {}
@@ -221,30 +255,32 @@ def get_witness(witness_id: str) -> Witness:
 def sequence_probabilities(protocol: Protocol, length: int) -> CorrelationTable:
     """Exact table of ``p(a_1..a_L | x_1..x_L)`` for a protocol.
 
-    Each entry is the trace of the corresponding composition of instrument
-    branches applied to the initial state; rows are normalized because the
+    Each branch ``(x, a)`` acts on vectorized density matrices as one
+    superoperator, built by mapping the matrix units. The frontier of
+    unnormalized post-measurement states is a history tensor with a
+    trailing state axis; each level is one contraction of it with all
+    branches, after which branches of trace at most 1e-15 are cut to exact
+    zeros. Leaf traces are the entries; rows are normalized because the
     instruments are trace-preserving.
     """
     m = protocol.num_settings
     d = len(protocol.outcomes)
     scenario = Scenario(length=length, settings=m, outcomes=d)
-    probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
-    labels = protocol.outcomes
-
-    def descend(depth: int, x_idx: int, a_idx: int, rho: np.ndarray) -> None:
-        if depth == length:
-            probs[x_idx, a_idx] = float(rho.trace().real)
-            return
-        for x in range(m):
-            instr = protocol.instruments[x]
-            for a, label in enumerate(labels):
-                branch = apply_map(instr.maps[label], rho)
-                if branch.trace().real > 1e-15:
-                    descend(depth + 1, x_idx * m + x, a_idx * d + a, branch)
-        return
-
-    descend(0, 0, 0, np.asarray(protocol.initial_state.mat))
-    return CorrelationTable(scenario=scenario, probs=probs)
+    n = protocol.dim**2
+    units = np.eye(n, dtype=complex).reshape(n, protocol.dim, protocol.dim)
+    images = np.array([
+        [apply_map(protocol.instruments[x].maps[label], units) for label in protocol.outcomes]
+        for x in range(m)
+    ])
+    # step[l, (x, a, k)]: entry k of branch (x, a) applied to matrix unit l.
+    step = images.reshape(m, d, n, n).transpose(2, 0, 1, 3).reshape(n, m * d * n)
+    diagonal = np.arange(protocol.dim) * (protocol.dim + 1)
+    frontier = np.asarray(protocol.initial_state.mat).reshape(n)
+    for _ in range(length):
+        frontier = (frontier @ step).reshape(frontier.shape[:-1] + (m, d, n))
+        frontier[frontier[..., diagonal].sum(axis=-1).real <= 1e-15] = 0.0
+    probs = frontier[..., diagonal].sum(axis=-1).real
+    return CorrelationTable(scenario=scenario, probs=scenario.from_history(probs))
 
 
 @dataclass(frozen=True)
@@ -273,7 +309,7 @@ def protocol_detection_resolver(protocol: Protocol) -> DetectionResolver:
         raise ValueError("protocol carries no detection-kind information")
     labels = protocol.outcomes
 
-    def resolver(history: History, setting: int, outcome: int) -> str:
+    def resolver(setting: int, outcome: int) -> str:
         return kinds[(setting, labels[outcome])]
 
     return resolver
@@ -293,26 +329,21 @@ def apply_readout_noise(
     scenario = table.scenario
     if scenario.outcomes != 2:
         raise ValueError("readout noise is defined for binary outcomes only")
-    length, m, d = scenario.length, scenario.settings, scenario.outcomes
-    noisy = np.zeros_like(table.probs)
-    for x_idx in range(scenario.num_setting_sequences):
-        x_seq = decode_index(x_idx, m, length)
-        for a_idx in range(scenario.num_outcome_sequences):
-            p = table.probs[x_idx, a_idx]
-            if p == 0.0:
-                continue
-            a_seq = decode_index(a_idx, d, length)
-            kinds = [
-                resolver(tuple(zip(x_seq[:t], a_seq[:t])), x_seq[t], a_seq[t])
-                for t in range(length)
-            ]
-            for r_idx in range(scenario.num_outcome_sequences):
-                r_seq = decode_index(r_idx, d, length)
-                factor = p
-                for t in range(length):
-                    factor *= noise.record_prob(kinds[t], r_seq[t] != a_seq[t])
-                noisy[x_idx, r_idx] += factor
-    return CorrelationTable(scenario=scenario, probs=noisy)
+    # confusion[x, a, r]: probability of recording r on branch (x, a).
+    confusion = np.array([
+        [[noise.record_prob(resolver(x, a), r != a) for r in range(2)] for a in range(2)]
+        for x in range(scenario.settings)
+    ])
+    tensor = scenario.to_history(table.probs)
+    axes = list(range(tensor.ndim))
+    for x_axis in range(0, tensor.ndim, 2):
+        # Contract the true outcome of this step into the recorded one.
+        out = axes.copy()
+        out[x_axis + 1] = tensor.ndim
+        tensor = np.einsum(
+            tensor, axes, confusion, [x_axis, x_axis + 1, tensor.ndim], out
+        )
+    return CorrelationTable(scenario=scenario, probs=scenario.from_history(tensor))
 
 
 def evaluate_witness(witness: Witness, table: CorrelationTable) -> float:

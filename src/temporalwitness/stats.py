@@ -23,6 +23,7 @@ from .simulator import (
     Witness,
     decode_index,
     encode_sequence,
+    evaluate_witness,
 )
 
 
@@ -161,31 +162,24 @@ class AotTestResult:
     sigma_equivalent: float
 
 
-def _prefix_counts(counts: CountsTable) -> tuple[list[dict], list[dict]]:
-    """Pooled context counts for the factorized model's conditionals.
+def _pooled_levels(counts: CountsTable) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pooled counts of the factorized model's conditionals, step by step.
 
-    At depth ``t``, the conditional for the step-``t`` outcome is estimated
+    At step ``t``, the conditional for the step-``t`` outcome is estimated
     in the context of the settings chosen up to and including step ``t``
     and the outcomes seen before it, pooling over everything later; this
-    pooling is the exact maximum-likelihood fit of the AoT model. Returns
-    ``(numerators, denominators)`` keyed by those two prefix shapes.
+    pooling is the exact maximum-likelihood fit of the AoT model. Entry
+    ``t - 1`` holds the counts of each history ``(x_1 a_1 .. x_t a_t)``, a
+    sum over the trailing axes of the counts' history tensor, and those of
+    its context, with the outcome axis kept at length one.
     """
-    sc = counts.scenario
-    num: list[dict[tuple, int]] = [dict() for _ in range(sc.length + 1)]
-    den: list[dict[tuple, int]] = [dict() for _ in range(sc.length + 1)]
-    for x_idx in range(sc.num_setting_sequences):
-        x_seq = decode_index(x_idx, sc.settings, sc.length)
-        for a_idx in range(sc.num_outcome_sequences):
-            n = int(counts.counts[x_idx, a_idx])
-            if n == 0:
-                continue
-            a_seq = decode_index(a_idx, sc.outcomes, sc.length)
-            for t in range(1, sc.length + 1):
-                key = (x_seq[:t], a_seq[:t])
-                num[t][key] = num[t].get(key, 0) + n
-                ctx = (x_seq[:t], a_seq[: t - 1])
-                den[t][ctx] = den[t].get(ctx, 0) + n
-    return num, den
+    pooled = counts.scenario.to_history(counts.counts)
+    levels = []
+    for _ in range(counts.scenario.length):
+        context = pooled.sum(axis=-1, keepdims=True)
+        levels.append((pooled, context))
+        pooled = context[..., 0].sum(axis=-1)
+    return levels[::-1]
 
 
 def null_model_table(counts: CountsTable) -> CorrelationTable:
@@ -196,39 +190,24 @@ def null_model_table(counts: CountsTable) -> CorrelationTable:
     so the table is a proper distribution.
     """
     sc = counts.scenario
-    num, den = _prefix_counts(counts)
-    probs = np.zeros((sc.num_setting_sequences, sc.num_outcome_sequences))
-    for x_idx in range(sc.num_setting_sequences):
-        x_seq = decode_index(x_idx, sc.settings, sc.length)
-        for a_idx in range(sc.num_outcome_sequences):
-            a_seq = decode_index(a_idx, sc.outcomes, sc.length)
-            prob = 1.0
-            for t in range(1, sc.length + 1):
-                context = den[t].get((x_seq[:t], a_seq[: t - 1]), 0)
-                if context == 0:
-                    prob /= sc.outcomes
-                else:
-                    prob *= num[t].get((x_seq[:t], a_seq[:t]), 0) / context
-            probs[x_idx, a_idx] = prob
-    return CorrelationTable(scenario=sc, probs=probs)
+    tensor = np.ones(())
+    for pooled, context in _pooled_levels(counts):
+        conditional = np.where(
+            context > 0, pooled / np.maximum(context, 1), 1.0 / sc.outcomes
+        )
+        tensor = tensor[..., None, None] * conditional
+    return CorrelationTable(scenario=sc, probs=sc.from_history(tensor))
+
+
+def _log_likelihood(k: np.ndarray, n: np.ndarray) -> float:
+    """``sum k log(k / n)`` over the nonzero ``k``, with ``n`` broadcast."""
+    seen = k > 0
+    return float(np.sum(k[seen] * np.log(k[seen] / np.broadcast_to(n, k.shape)[seen])))
 
 
 def _aot_statistic(counts: CountsTable) -> float:
-    sc = counts.scenario
-    n_per_seq = counts.repetitions
-    log_alt = 0.0
-    for x_idx in range(sc.num_setting_sequences):
-        n_x = n_per_seq[x_idx]
-        for a_idx in range(sc.num_outcome_sequences):
-            k = int(counts.counts[x_idx, a_idx])
-            if k:
-                log_alt += k * math.log(k / n_x)
-    num, den = _prefix_counts(counts)
-    log_null = 0.0
-    for t in range(1, sc.length + 1):
-        for (x_prefix, a_prefix), pooled in num[t].items():
-            context = den[t][(x_prefix, a_prefix[:-1])]
-            log_null += pooled * math.log(pooled / context)
+    log_alt = _log_likelihood(counts.counts, counts.repetitions[:, None])
+    log_null = sum(_log_likelihood(*level) for level in _pooled_levels(counts))
     return max(0.0, 2.0 * (log_alt - log_null))
 
 
@@ -362,10 +341,7 @@ def certify(
         raise ValueError(f"witness {witness.id!r} carries no dimension bounds")
     if witness.scenario != counts.scenario:
         raise ValueError("witness and counts scenarios do not match")
-    table = frequencies(counts)
-    value = 0.0
-    for settings, outcomes, coeff in witness.terms:
-        value += coeff * table.prob(settings, outcomes)
+    value = evaluate_witness(witness, frequencies(counts))
     halfwidth = hoeffding_halfwidth(witness, counts, spec)
     frac = qutrit_fraction(value, witness.qubit_bound, witness.algebraic_max)
     span = witness.algebraic_max - witness.qubit_bound

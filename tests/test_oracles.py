@@ -1,0 +1,186 @@
+"""Randomized comparisons of the history-tensor walkers with the slow
+reference implementations in ``oracles.py``."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+import util
+from temporalwitness import bounds, polytope, protocols, simulator, stats
+from temporalwitness.protocols import BRIGHT, DARK
+from temporalwitness.qcore import Instrument, KrausMap
+from temporalwitness.simulator import CorrelationTable, ReadoutNoise, Scenario, Witness
+
+ORACLE = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_instrument(rng, dim, labels, kraus_rank):
+    """A random instrument: the Kraus operators are blocks of a random
+    isometry, so the branches sum to a trace-preserving map."""
+    rows = len(labels) * kraus_rank * dim
+    isometry, _ = np.linalg.qr(rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim)))
+    ops = isometry.reshape(len(labels), kraus_rank, dim, dim)
+    maps = {label: KrausMap(tuple(ops[a])) for a, label in enumerate(labels)}
+    return Instrument(dim=dim, outcomes=labels, maps=maps)
+
+
+def random_table(rng, scenario, sparsity=0.3):
+    shape = (scenario.num_setting_sequences, scenario.num_outcome_sequences)
+    weights = rng.random(shape) * (rng.random(shape) >= sparsity)
+    weights[:, 0] += 0.1
+    return CorrelationTable(scenario, weights / weights.sum(axis=1, keepdims=True))
+
+
+def deterministic_scenarios(max_strategies):
+    """Small scenarios whose strategies brute force can enumerate."""
+    return [
+        Scenario(length, m, d)
+        for length, m, d in itertools.product((1, 2, 3), (1, 2, 3), (2, 3))
+        if d ** sum(m**t for t in range(1, length + 1)) <= max_strategies
+    ]
+
+
+def random_witness(rng, scenario, num_terms, integer=True):
+    terms = []
+    for _ in range(num_terms):
+        settings_ = tuple(int(v) for v in rng.integers(0, scenario.settings, scenario.length))
+        outcomes = tuple(int(v) for v in rng.integers(0, scenario.outcomes, scenario.length))
+        coeff = float(rng.integers(-3, 4)) if integer else float(rng.normal())
+        terms.append((settings_, outcomes, coeff))
+    return Witness(id="random", scenario=scenario, terms=tuple(terms))
+
+
+@ORACLE
+@given(seed=seeds, dim=st.integers(2, 3), m=st.integers(1, 3), d=st.integers(2, 3),
+       rank=st.integers(1, 2), length=st.integers(1, 3))
+def test_simulator_matches_recursion(seed, dim, m, d, rank, length):
+    rng = np.random.default_rng(seed)
+    labels = tuple(str(a) for a in range(d))
+    protocol = protocols.Protocol(
+        dim=dim,
+        initial_state=util.random_pure_state(rng, dim),
+        instruments={x: random_instrument(rng, dim, labels, rank) for x in range(m)},
+    )
+    table = simulator.sequence_probabilities(protocol, length)
+    expected = oracles.sequence_probabilities(protocol, length)
+    assert np.allclose(table.probs, expected.probs, rtol=0, atol=1e-12)
+
+
+@ORACLE
+@given(seed=seeds, qutrit=st.booleans(), length=st.integers(1, 4))
+def test_simulator_matches_recursion_measure_and_prepare(seed, qutrit, length):
+    rng = np.random.default_rng(seed)
+    build = util.random_qutrit_protocol if qutrit else util.random_qubit_protocol
+    protocol = build(rng)
+    table = simulator.sequence_probabilities(protocol, length)
+    expected = oracles.sequence_probabilities(protocol, length)
+    assert np.allclose(table.probs, expected.probs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wid", sorted(simulator.WITNESSES))
+def test_optimal_protocols_match_recursion_exactly(wid):
+    protocol = protocols.optimal_protocol(wid)
+    for length in (1, 2, 3, 4):
+        table = simulator.sequence_probabilities(protocol, length)
+        assert np.array_equal(
+            table.probs, oracles.sequence_probabilities(protocol, length).probs
+        )
+
+
+@ORACLE
+@given(seed=seeds, shape=st.sampled_from([(1, 1), (2, 1), (3, 2), (4, 2), (2, 3), (3, 3)]),
+       bright=st.floats(0.0, 1.0), dark=st.floats(0.0, 1.0))
+def test_readout_noise_matches_cell_loop(seed, shape, bright, dark):
+    rng = np.random.default_rng(seed)
+    length, m = shape
+    table = random_table(rng, Scenario(length, m, 2))
+    kinds = {(x, a): (BRIGHT, DARK)[rng.integers(2)] for x in range(m) for a in range(2)}
+
+    def resolver(x, a):
+        return kinds[(x, a)]
+
+    noise = ReadoutNoise(bright, dark)
+    noisy = simulator.apply_readout_noise(table, resolver, noise)
+    expected = oracles.apply_readout_noise(table, resolver, noise)
+    assert np.allclose(noisy.probs, expected.probs, rtol=0, atol=1e-12)
+
+
+counts_scenarios = st.sampled_from(
+    [(1, 2, 2), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (3, 1, 3), (4, 2, 2)]
+)
+
+
+@ORACLE
+@given(seed=seeds, dims=counts_scenarios, shots=st.integers(1, 200),
+       sparsity=st.floats(0.0, 0.9))
+def test_aot_statistics_match_dict_loops(seed, dims, shots, sparsity):
+    rng = np.random.default_rng(seed)
+    sc = Scenario(*dims)
+    shape = (sc.num_setting_sequences, sc.num_outcome_sequences)
+    raw = rng.integers(0, shots + 1, size=shape) * (rng.random(shape) >= sparsity)
+    counts = stats.CountsTable(sc, raw)
+
+    # Both sides sum many terms of either sign, so they agree to 1e-12
+    # relative to the log-likelihoods, not to their difference.
+    log_alt, log_null = oracles.aot_log_likelihoods(counts)
+    scale = 1.0 + abs(log_alt) + abs(log_null)
+    assert abs(stats._aot_statistic(counts) - oracles.aot_statistic(counts)) <= 1e-12 * scale
+
+    null = stats.null_model_table(counts)
+    expected = oracles.null_model_table(counts)
+    assert np.allclose(null.probs, expected.probs, rtol=0, atol=1e-12)
+
+
+@ORACLE
+@given(seed=seeds, length=st.integers(1, 3), num_terms=st.integers(1, 12),
+       batch=st.sampled_from([(), (3,), (2, 2)]))
+def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
+    rng = np.random.default_rng(seed)
+    witness = random_witness(rng, Scenario(length, 2, 2), num_terms, integer=False)
+    lo = np.array([0.0, 0.0, 0.0, 0.0, -1.0]).reshape((5,) + (1,) * len(batch))
+    z = lo + (1.0 - lo) * rng.random((5,) + batch)
+    ops = bounds._ops_from_parameters(*z)
+    # The same products and sums in the same order: equal to the last bit.
+    assert np.array_equal(
+        bounds._nested_bound(witness.coefficients, ops), oracles.nested_bound(witness, ops)
+    )
+
+
+@ORACLE
+@given(seed=seeds, scenario=st.sampled_from(deterministic_scenarios(1024)),
+       num_terms=st.integers(1, 12))
+def test_algebraic_max_matches_brute_force(seed, scenario, num_terms):
+    witness = random_witness(np.random.default_rng(seed), scenario, num_terms)
+    value, maximizers = polytope.algebraic_max(witness)
+    expected_value, expected = oracles.algebraic_max(witness)
+    assert value == expected_value
+    assert [s.moves for s in maximizers] == [s.moves for s in expected]
+
+
+@pytest.mark.parametrize("wid", sorted(simulator.WITNESSES))
+def test_registry_algebraic_max_matches_brute_force(wid):
+    witness = simulator.get_witness(wid)
+    value, maximizers = polytope.algebraic_max(witness)
+    expected_value, expected = oracles.algebraic_max(witness)
+    assert value == expected_value
+    assert [s.moves for s in maximizers] == [s.moves for s in expected]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2)])
+def test_independence_count_matches_exact_elimination(dims):
+    scenario = Scenario(*dims)
+    flags = oracles.greedy_independent_flags(scenario)
+    assert sum(flags) == polytope.independent_constraint_count(scenario)
+
+    basis = oracles.normalization_basis(scenario)
+    for con in polytope.aot_constraints(scenario):
+        if not con.independent:
+            continue
+        reduced = oracles.integer_row_reduce(basis, oracles.constraint_row(scenario, con))
+        assert reduced is not None
+        basis.append(reduced)

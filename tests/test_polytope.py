@@ -1,5 +1,7 @@
 """Tests for AoT constraints, deterministic strategies, and algebraic maxima."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,10 @@ class TestConstraints:
         assert aot_constraints(Scenario(1, 3, 4)) == []
 
     def test_rank_matches_numpy_oracle(self):
-        # Independence modulo normalization, recomputed in floating point.
-        for scenario in (Scenario(2, 2, 2), Scenario(3, 2, 2), Scenario(2, 2, 3)):
+        # Independence modulo normalization, recomputed in floating point:
+        # the flagged rows are independent and span every AoT constraint.
+        for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 3), (3, 2, 3), (4, 2, 2)):
+            scenario = Scenario(*dims)
             cons = aot_constraints(scenario)
             ncols = scenario.num_setting_sequences * scenario.num_outcome_sequences
             norm_rows = []
@@ -54,9 +58,12 @@ class TestConstraints:
                 for i, j in minus:
                     row[i * scenario.num_outcome_sequences + j] -= 1.0
                 aot_rows.append(row)
+            flagged = [row for row, con in zip(aot_rows, cons) if con.independent]
             rank_norm = np.linalg.matrix_rank(np.array(norm_rows))
             rank_all = np.linalg.matrix_rank(np.array(norm_rows + aot_rows))
-            assert sum(c.independent for c in cons) == rank_all - rank_norm
+            rank_flagged = np.linalg.matrix_rank(np.array(norm_rows + flagged))
+            assert len(flagged) == rank_flagged - rank_norm == rank_all - rank_norm
+            assert independent_constraint_count(scenario) == rank_all - rank_norm
 
     def test_flagged_subset_is_prefix_marginal_form(self):
         cons = aot_constraints(Scenario(2, 2, 2))
@@ -167,6 +174,23 @@ class TestAlgebraicMax:
         assert value == 1.0
         # f1(0) and f2(00) pinned; f1(1) and the three other f2 entries free.
         assert len(maximizers) == 2 ** 4
+
+    def test_unique_maximizer_beyond_enumeration_guard(self):
+        # 2^30 strategies, but only the all-"+" one maximizes.
+        scenario = Scenario(4, 2, 2)
+        terms = tuple(
+            (x_seq, a_seq, float(a_seq.count(0)))
+            for x_seq in itertools.product(range(2), repeat=4)
+            for a_seq in itertools.product(range(2), repeat=4)
+        )
+        value, maximizers = algebraic_max(Witness(id="plus", scenario=scenario, terms=terms))
+        assert value == 16 * 4.0
+        assert [s.moves for s in maximizers] == [((0,) * 2, (0,) * 4, (0,) * 8, (0,) * 16)]
+
+    def test_guard_counts_maximizers(self):
+        w = Witness(id="single", scenario=Scenario(4, 3, 3), terms=(((0,) * 4, (0,) * 4, 1.0),))
+        with pytest.raises(GuardExceeded):
+            algebraic_max(w)
 
     def test_quantum_tables_stay_below(self):
         rng = np.random.default_rng(13)

@@ -25,43 +25,10 @@ from temporalwitness.qcore import (
 )
 
 
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return a + a.conj().T
-
-
 def random_state(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / rho.trace())
-
-
-class TestEigensolver:
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(1)
-        for dim in (2, 3, 5, 8):
-            for _ in range(25):
-                h = random_hermitian(rng, dim)
-                vals = qcore.hermitian_eigenvalues(h)
-                assert np.allclose(vals, np.linalg.eigvalsh(h), atol=1e-10)
-
-    def test_eigenvectors_diagonalize(self):
-        rng = np.random.default_rng(2)
-        for dim in (2, 3, 4):
-            for _ in range(20):
-                h = random_hermitian(rng, dim)
-                vals, vecs = qcore.hermitian_eig(h)
-                assert np.allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-9)
-                assert np.allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
-
-    def test_closed_form_dim2(self):
-        h = np.array([[2.0, 1 - 1j], [1 + 1j, -1.0]])
-        vals = qcore.hermitian_eigenvalues(h)
-        assert np.allclose(vals, np.linalg.eigvalsh(h), atol=1e-12)
-
-    def test_sorted_ascending(self):
-        vals = qcore.hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]).astype(complex))
-        assert list(vals) == pytest.approx([-1.0, 2.0, 3.0])
 
 
 class TestDensityMatrix:
@@ -163,6 +130,20 @@ class TestApplyMap:
         with pytest.raises(DimensionMismatchError):
             apply_map(kid, DensityMatrix.maximally_mixed(2))
 
+    def test_stacked_states_map_one_by_one(self):
+        from temporalwitness.protocols import optimal_protocol
+
+        rng = np.random.default_rng(6)
+        kmap = optimal_protocol("T").instruments[1].maps["-"]
+        stack = np.array([[random_state(rng, 3).mat for _ in range(4)] for _ in range(2)])
+        out = apply_map(kmap, stack)
+        assert out.shape == (2, 4, 3, 3)
+        for i in range(2):
+            for j in range(4):
+                assert np.allclose(out[i, j], apply_map(kmap, stack[i, j]), atol=1e-15)
+        with pytest.raises(DimensionMismatchError):
+            apply_map(kmap, stack[..., :2, :2])
+
     def test_output_psd_and_trace_matches_effect(self):
         rng = np.random.default_rng(5)
         from temporalwitness.protocols import extremal_qubit_effects
@@ -175,7 +156,7 @@ class TestApplyMap:
             rho = random_state(rng, 2)
             for label in instr.outcomes:
                 out = apply_map(instr.maps[label], rho)
-                lo = qcore.hermitian_eigenvalues(out)[0]
+                lo = np.linalg.eigvalsh(out)[0]
                 assert lo >= -1e-10
                 p = probability(effect_of(instr, label), rho)
                 assert abs(out.trace().real - p) < 1e-12

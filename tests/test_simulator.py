@@ -13,6 +13,7 @@ from temporalwitness.simulator import (
     ReadoutNoise,
     Scenario,
     WITNESSES,
+    Witness,
     apply_readout_noise,
     decode_index,
     encode_sequence,
@@ -65,6 +66,19 @@ class TestScenario:
                 seq = decode_index(idx, base, length)
                 assert encode_sequence(seq, base) == idx
 
+    def test_history_view_interleaves_steps(self):
+        sc = Scenario(3, 2, 3)
+        table = np.arange(sc.num_setting_sequences * sc.num_outcome_sequences).reshape(8, 27)
+        tensor = sc.to_history(table)
+        assert tensor.shape == (2, 3, 2, 3, 2, 3)
+        for x_idx in range(8):
+            x_seq = decode_index(x_idx, 2, 3)
+            for a_idx in range(27):
+                a_seq = decode_index(a_idx, 3, 3)
+                history = tuple(v for pair in zip(x_seq, a_seq) for v in pair)
+                assert tensor[history] == table[x_idx, a_idx]
+        assert np.array_equal(sc.from_history(tensor), table)
+
 
 class TestWitnessRegistry:
     def test_bounds_and_maxima(self):
@@ -95,6 +109,19 @@ class TestWitnessRegistry:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             get_witness("nope")
+
+    def test_coefficients_tensor(self):
+        w = Witness(id="dup", scenario=Scenario(2, 2, 2),
+                    terms=(((0, 1), (1, 0), 1.5), ((0, 1), (1, 0), -0.5), ((1, 1), (0, 0), 2.0)))
+        coeffs = w.coefficients
+        assert coeffs.shape == (2, 2, 2, 2)
+        assert coeffs[0, 1, 1, 0] == 1.0
+        assert coeffs[1, 0, 1, 0] == 2.0
+        assert coeffs.sum() == 3.0
+        table = sequence_probabilities(optimal_protocol("B1"), 2)
+        assert evaluate_witness(w, table) == pytest.approx(
+            float(np.sum(coeffs * w.scenario.to_history(table.probs)))
+        )
 
 
 class TestSequenceProbabilities:
@@ -213,7 +240,7 @@ class TestReadoutNoise:
         sc = Scenario(1, 1, 3)
         table = CorrelationTable(sc, np.array([[0.2, 0.3, 0.5]]))
         with pytest.raises(ValueError, match="binary"):
-            apply_readout_noise(table, lambda h, x, a: "bright", ReadoutNoise())
+            apply_readout_noise(table, lambda x, a: "bright", ReadoutNoise())
 
     def test_resolver_requires_detection_kinds(self):
         with pytest.raises(ValueError, match="detection-kind"):

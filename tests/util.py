@@ -4,7 +4,7 @@ import numpy as np
 
 from temporalwitness import protocols
 from temporalwitness.protocols import OUTCOME_LABELS
-from temporalwitness.qcore import DensityMatrix, Effect, bloch_effect, hermitian_eig
+from temporalwitness.qcore import DensityMatrix, Effect, bloch_effect
 
 
 def random_pure_state(rng, dim):
@@ -62,7 +62,7 @@ def random_qutrit_protocol(rng):
     for setting in range(2):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = h + h.conj().T
-        _, vecs = hermitian_eig(h)
+        _, vecs = np.linalg.eigh(h)
         spectrum = rng.uniform(0, 1, size=3)
         plus = Effect((vecs * spectrum) @ vecs.conj().T)
         minus = Effect(np.eye(3) - plus.mat)
