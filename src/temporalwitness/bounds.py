@@ -6,7 +6,14 @@ family. ``nested_generic_bound`` computes, for arbitrary fixed two-outcome
 qubit effects, the exact optimum of any witness over all initial states
 and all history-dependent post-measurement states, by propagating
 max-eigenvalue value functions backwards through the measurement tree.
-Derivative-free outer optimizers then search the effect parameters.
+Derivative-free outer optimizers then search the effect parameters: an
+exhaustive grid, then Nelder-Mead from the best grid cells and from seeded
+random starts. The Nelder-Mead restarts run in lockstep, taking scipy's
+bounded steps exactly, and each round evaluates the pending points of every
+restart in one batched objective call.
+
+The ``nested_generic`` value is a multistart optimum: a lower estimate of
+the qubit supremum of the witness, not a certified bound.
 
 Every 2x2 operator that appears is a real combination of the identity and
 Pauli matrices, so operators are carried as coefficient 4-vectors
@@ -21,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# Not called here: perfbench/spans.py wraps ``bounds.minimize`` by name.
+from scipy.optimize import minimize  # noqa: F401
 
 from . import qcore
 from .simulator import Witness
@@ -196,34 +204,140 @@ def _ops_from_parameters(s0, b0, s1, b1, cg) -> np.ndarray:
 # Outer optimizers
 # ---------------------------------------------------------------------------
 
-def _refine(
-    objective: Callable[[np.ndarray], float],
-    start: np.ndarray,
+# scipy's Nelder-Mead coefficients (non-adaptive), initial-simplex steps and
+# the refinement tolerances.
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+NONZDELT, ZDELT = 0.05, 0.00025
+XATOL, FATOL = 1e-9, 1e-12
+
+
+def _simplex_step(sim, fsim, lower, upper, left):
+    """One iteration of scipy's bounded Nelder-Mead on the sorted simplex,
+    in place. Yields the points it evaluates and receives their values; it
+    stops where scipy's call counter would raise, after ``left`` calls, and
+    returns the number of calls made."""
+    n = sim.shape[1]
+    xbar = np.add.reduce(sim[:-1], 0) / n
+    xr = np.clip((1 + RHO) * xbar - RHO * sim[-1], lower, upper)
+    (fxr,) = yield xr[None]
+    if fxr < fsim[0]:
+        if left == 1:
+            return 1
+        xe = np.clip((1 + RHO * CHI) * xbar - RHO * CHI * sim[-1], lower, upper)
+        (fxe,) = yield xe[None]
+        if fxe < fxr:
+            sim[-1], fsim[-1] = xe, fxe
+        else:
+            sim[-1], fsim[-1] = xr, fxr
+        return 2
+    if fxr < fsim[-2]:
+        sim[-1], fsim[-1] = xr, fxr
+        return 1
+    if left == 1:
+        return 1
+    if fxr < fsim[-1]:
+        xc = np.clip((1 + PSI * RHO) * xbar - PSI * RHO * sim[-1], lower, upper)
+        (fxc,) = yield xc[None]
+        if fxc <= fxr:
+            sim[-1], fsim[-1] = xc, fxc
+            return 2
+    else:
+        xcc = np.clip((1 - PSI) * xbar + PSI * sim[-1], lower, upper)
+        (fxcc,) = yield xcc[None]
+        if fxcc < fsim[-1]:
+            sim[-1], fsim[-1] = xcc, fxcc
+            return 2
+    # Shrink towards the best vertex. scipy moves each vertex before its
+    # call, so the vertex whose call would exceed the budget still moves.
+    shrunk = np.clip(sim[0] + SIGMA * (sim[1:] - sim[0]), lower, upper)
+    calls = min(n, left - 2)
+    sim[1 : calls + 2] = shrunk[: calls + 1]
+    if calls:
+        fsim[1 : calls + 1] = yield shrunk[:calls]
+    return 2 + calls
+
+
+def _sort_simplex(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(x0, lower, upper, budget):
+    """scipy's bounded Nelder-Mead minimization (``adaptive=False``,
+    ``xatol=XATOL``, ``fatol=FATOL``, ``maxfev=budget >= 1``) as a
+    generator: it yields ``(k, n)`` arrays of points, receives their ``k``
+    values and returns ``(minimum, point, evaluations)``."""
+    n = len(x0)
+    x0 = np.clip(x0, lower, upper)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + NONZDELT) * y[k] if y[k] != 0 else ZDELT
+        sim[k + 1] = y
+    # Vertices pushed past the upper bound are reflected into the box.
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, budget)
+    fsim[:nfev] = yield sim[:nfev]
+    # scipy sorts twice here; argsort need not keep ties in place.
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+    while nfev < budget:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL
+        ):
+            break
+        nfev += yield from _simplex_step(sim, fsim, lower, upper, budget - nfev)
+        sim, fsim = _sort_simplex(sim, fsim)
+    return np.min(fsim), sim[0], nfev
+
+
+def _lockstep_nelder_mead(
+    objective_batch: Callable[[Sequence[np.ndarray]], np.ndarray],
+    starts: Sequence[np.ndarray],
     box: Sequence[tuple[float, float]],
     budget: int,
-) -> tuple[float, np.ndarray, int]:
-    """Nelder-Mead ascent from ``start``, restricted to the non-degenerate
-    axes of ``box``. Returns (value, point, evaluations)."""
+) -> list[tuple[float, np.ndarray, int]]:
+    """Nelder-Mead ascent from every start at once, restricted to the
+    non-degenerate axes of ``box``; returns ``(value, point, evaluations)``
+    per start.
+
+    Each run takes scipy's steps exactly; every round gathers the pending
+    points of all live runs into one call of ``objective_batch``, which
+    maps coordinate arrays to values elementwise.
+    """
+    starts = np.array(starts, dtype=float)
     free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
-    point = np.array(start, dtype=float)
     if not free:
-        return objective(point), point, 1
+        values = objective_batch(starts.T)
+        return [(float(v), start, 1) for v, start in zip(values, starts)]
+    lower = np.array([box[i][0] for i in free], dtype=float)
+    upper = np.array([box[i][1] for i in free], dtype=float)
+    runs = [_nelder_mead(start[free], lower, upper, budget) for start in starts]
+    pending = {k: run.send(None) for k, run in enumerate(runs)}
+    results: list = [None] * len(runs)
+    while pending:
+        sizes = [len(points) for points in pending.values()]
+        full = starts[np.repeat(list(pending), sizes)]
+        full[:, free] = np.concatenate(list(pending.values()))
+        values = -objective_batch(full.T)
+        offsets = np.cumsum([0] + sizes)
+        for k, lo, hi in zip(list(pending), offsets, offsets[1:]):
+            try:
+                pending[k] = runs[k].send(values[lo:hi])
+            except StopIteration as stop:
+                fmin, x, nfev = stop.value
+                point = starts[k].copy()
+                point[free] = x
+                results[k] = (float(-fmin), point, nfev)
+                del pending[k]
+    return results
 
-    def neg(z: np.ndarray) -> float:
-        full = point.copy()
-        full[free] = z
-        return -objective(full)
 
-    res = minimize(
-        neg,
-        point[free],
-        method="Nelder-Mead",
-        bounds=[box[i] for i in free],
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": budget},
-    )
-    best = point.copy()
-    best[free] = res.x
-    return -res.fun, best, int(res.nfev)
+def _check_refinement_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("refinement budget must be at least 1 evaluation")
 
 
 def _grid_axes(box: Sequence[tuple[float, float]], resolution: int) -> list[np.ndarray]:
@@ -240,6 +354,7 @@ def optimize_tee_bound(
     from the ten best grid cells."""
     if grid_resolution < 20:
         raise ValueError("grid resolution must be at least 20 per axis")
+    _check_refinement_budget(refinement_budget)
     if box is None:
         box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     axes = _grid_axes(box, grid_resolution)
@@ -252,10 +367,10 @@ def optimize_tee_bound(
 
     best_value = float(flat[order[0]])
     best_point = points[0]
-    for start in points:
-        val, pt, nfev = _refine(
-            lambda z: float(_tee_closed_form_array(*z)), start, box, refinement_budget
-        )
+    refined = _lockstep_nelder_mead(
+        lambda z: _tee_closed_form_array(*z), points, box, refinement_budget
+    )
+    for val, pt, nfev in refined:
         evaluations += nfev
         if val > best_value:
             best_value, best_point = val, pt
@@ -292,15 +407,15 @@ def optimize_qubit_bound(
     runs in rescaled coordinates ``s = a (1 + b)`` so the box is a product.
     """
     _check_two_setting_binary(witness)
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
+    _check_refinement_budget(refinement_budget)
     box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
 
     coeffs = witness.coefficients
 
     def objective_batch(z: Sequence[np.ndarray]) -> np.ndarray:
         return _nested_bound(coeffs, _ops_from_parameters(*z))
-
-    def objective(z: np.ndarray) -> float:
-        return float(objective_batch(tuple(z)))
 
     axes = _grid_axes(box, grid_resolution)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
@@ -320,8 +435,7 @@ def optimize_qubit_bound(
 
     best_value = float(flat[order[0]])
     best_point = starts[0]
-    for start in starts:
-        val, pt, nfev = _refine(objective, start, box, refinement_budget)
+    for val, pt, nfev in _lockstep_nelder_mead(objective_batch, starts, box, refinement_budget):
         evaluations += nfev
         if val > best_value:
             best_value, best_point = val, pt

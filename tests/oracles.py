@@ -1,13 +1,16 @@
-"""Slow reference implementations of the prefix-tree walkers.
+"""Slow reference implementations of the prefix-tree walkers and of the
+bound refinement.
 
-Each function walks the tree of measurement histories cell by cell or node
-by node, without the history-tensor view; they are the references for the
-randomized comparisons in ``test_oracles.py``.
+Each walker goes through the tree of measurement histories cell by cell or
+node by node, without the history-tensor view; ``refine`` runs one scipy
+Nelder-Mead search per start on a scalar objective. They are the references
+for the randomized comparisons in ``test_oracles.py``.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
 from temporalwitness.qcore import apply_map
@@ -144,6 +147,31 @@ def nested_bound(witness, ops):
         return op[..., 0] + np.sqrt(op[..., 1] ** 2 + op[..., 2] ** 2 + op[..., 3] ** 2)
 
     return value(())
+
+
+def refine(objective, start, box, budget):
+    """scipy's Nelder-Mead ascent from ``start``, restricted to the
+    non-degenerate axes of ``box``. Returns (value, point, evaluations)."""
+    free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
+    point = np.array(start, dtype=float)
+    if not free:
+        return objective(point), point, 1
+
+    def neg(z):
+        full = point.copy()
+        full[free] = z
+        return -objective(full)
+
+    res = minimize(
+        neg,
+        point[free],
+        method="Nelder-Mead",
+        bounds=[box[i] for i in free],
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": budget},
+    )
+    best = point.copy()
+    best[free] = res.x
+    return -res.fun, best, int(res.nfev)
 
 
 def algebraic_max(witness):

@@ -79,6 +79,18 @@ class TestOptimizeTeeBound:
         with pytest.raises(ValueError, match="at least 20"):
             optimize_tee_bound(grid_resolution=10)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_empty_refinement_budget(self, budget):
+        with pytest.raises(ValueError, match="refinement budget"):
+            optimize_tee_bound(refinement_budget=budget)
+
+    def test_value_is_float(self):
+        # A refinement beats the grid here, and also with a one-call budget
+        # that only re-evaluates the grid point.
+        for budget in (2000, 1):
+            result = optimize_tee_bound(refinement_budget=budget)
+            assert type(result.value) is float
+
     def test_result_dominates_probes(self):
         rng = np.random.default_rng(15)
         result = optimize_tee_bound()
@@ -135,6 +147,20 @@ class TestOptimizeQubitBound:
         assert result.params.p == pytest.approx(1.0, abs=1e-4)
         assert result.params.q == pytest.approx(1.0, abs=1e-4)
         assert result.params.cos_gamma == pytest.approx(-0.458, abs=5e-3)
+
+    def test_value_is_float(self):
+        # The best value comes from a refinement with the default budget and
+        # from the grid when each refinement may only evaluate its start.
+        for budget in (2000, 1):
+            result = optimize_qubit_bound(get_witness("B3"), restarts=0, refinement_budget=budget)
+            assert type(result.value) is float
+
+    @pytest.mark.parametrize("kwargs", [
+        {"refinement_budget": 0}, {"refinement_budget": -1}, {"restarts": -1},
+    ])
+    def test_rejects_invalid_search(self, kwargs):
+        with pytest.raises(ValueError, match="refinement budget|restarts"):
+            optimize_qubit_bound(get_witness("B1"), **kwargs)
 
     def test_deterministic_given_seed(self):
         w = get_witness("B2")

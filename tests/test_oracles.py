@@ -151,6 +151,73 @@ def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
     )
 
 
+QUBIT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+TEE_BOX = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+
+
+def refinement_problem(name):
+    """Box and batched objective of the bound searches: the nested bound of
+    a registry witness, or the closed form of the three-step witness."""
+    if name == "closed":
+        return TEE_BOX, lambda z: bounds._tee_closed_form_array(*z)
+    coeffs = simulator.get_witness(name).coefficients
+    return QUBIT_BOX, lambda z: bounds._nested_bound(coeffs, bounds._ops_from_parameters(*z))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_lockstep_matches_scipy(objective_batch, starts, box, budget):
+    def scalar(z):
+        return float(objective_batch(tuple(z)))
+
+    results = bounds._lockstep_nelder_mead(objective_batch, starts, box, budget)
+    assert len(results) == len(starts)
+    for start, (value, point, nfev) in zip(starts, results):
+        expected_value, expected_point, expected_nfev = oracles.refine(scalar, start, box, budget)
+        assert type(value) is float
+        assert bits(value) == bits(expected_value)
+        assert bits(point) == bits(expected_point)
+        assert nfev == expected_nfev
+
+
+@ORACLE
+@given(seed=seeds, objective=st.sampled_from(["B1", "T", "closed"]),
+       num_starts=st.integers(1, 4), budget=st.integers(1, 80),
+       degenerate=st.sampled_from([None, 0, 1, 2, -1]))
+def test_lockstep_nelder_mead_matches_scipy(seed, objective, num_starts, budget, degenerate):
+    rng = np.random.default_rng(seed)
+    box, objective_batch = refinement_problem(objective)
+    lo, hi = np.array(box).T
+    starts = lo + (hi - lo) * rng.random((num_starts, len(box)))
+    # Starts on the upper bound take scipy's reflection branch; zero
+    # coordinates take its absolute initial step.
+    pick = rng.random(starts.shape)
+    starts = np.where(pick < 0.2, hi, np.where(pick > 0.8, 0.0, starts))
+    if degenerate is not None:
+        box = list(box)
+        box[degenerate] = (starts[0, degenerate],) * 2
+        starts[:, degenerate] = starts[0, degenerate]
+    assert_lockstep_matches_scipy(objective_batch, starts, box, budget)
+
+
+@pytest.mark.parametrize("objective,fraction", [("B1", 0.25), ("T", 0.37), ("closed", 0.37)])
+def test_lockstep_nelder_mead_cut_at_every_budget(objective, fraction):
+    # Every cut of one search: inside the initial simplex, before an
+    # expansion or a contraction and, from the B1 start, inside a shrink.
+    box, objective_batch = refinement_problem(objective)
+    start = np.array([lo + fraction * (hi - lo) for lo, hi in box])
+    for budget in range(1, 81):
+        assert_lockstep_matches_scipy(objective_batch, [start, np.array(box)[:, 1]], box, budget)
+
+
+def test_lockstep_nelder_mead_without_free_axes():
+    _, objective_batch = refinement_problem("closed")
+    box = ((0.25, 0.25), (0.5, 0.5), (-0.5, -0.5))
+    assert_lockstep_matches_scipy(objective_batch, [np.array(box)[:, 0]] * 2, box, 10)
+
+
 @ORACLE
 @given(seed=seeds, scenario=st.sampled_from(deterministic_scenarios(1024)),
        num_terms=st.integers(1, 12))
