@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-# Not called here: perfbench/spans.py wraps ``bounds.minimize`` by name.
-from scipy.optimize import minimize  # noqa: F401
 
 from . import qcore
 from .simulator import Witness
@@ -39,6 +37,17 @@ from .simulator import Witness
 DEFAULT_SEED = 20240601
 # Grid points per batch of the generic optimizer's exhaustive grid.
 GRID_CHUNK = 10_000
+
+
+def __getattr__(name: str):
+    # Lazy shim: nothing here calls scipy's ``minimize``, but the traced
+    # benchmark run (perfbench/spans.py) wraps ``bounds.minimize`` by name.
+    # Importing scipy only on that lookup keeps it off the CLI's start-up
+    # path. The shim goes once that span moves to ``_lockstep_nelder_mead``.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,20 @@ Confidence intervals use Hoeffding's tail inequality, which needs no
 assumption on the outcome distributions. The arrow-of-time check is a
 likelihood-ratio test of the factorized (setting-history conditional)
 model against unconstrained per-sequence multinomials, with the degrees of
-freedom given by the exact number of independent AoT constraints.
+freedom given by the exact number of independent AoT constraints. Its
+chi-square tail and the normal quantile of the sigma equivalent are computed
+in closed form with the standard library (``math`` and
+``statistics.NormalDist``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm
 
 from . import polytope
 from .simulator import (
@@ -226,7 +229,7 @@ def aot_lr_test(counts: CountsTable) -> AotTestResult:
     if dof == 0:
         raise ValueError("scenario has no AoT constraints to test")
     statistic = _aot_statistic(counts)
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = _chi2_sf(statistic, dof)
     return AotTestResult(
         statistic=statistic,
         dof=dof,
@@ -235,10 +238,33 @@ def aot_lr_test(counts: CountsTable) -> AotTestResult:
     )
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail ``P(X >= x)`` of a chi-square variable with integer ``dof``.
+
+    With ``h = x / 2`` the tail is the finite sum of Poisson-like terms
+    ``h^j e^-h / Gamma(j + 1)`` over ``j = 0, 1, ..., dof/2 - 1`` for even
+    ``dof``, and ``erfc(sqrt(h))`` plus the same terms over ``j = 1/2,
+    3/2, ..., dof/2 - 1`` for odd ``dof``. Every term is exponentiated from
+    its logarithm, so large ``x`` underflows to zero instead of overflowing.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    log_h = math.log(h)
+    start = (dof % 2) / 2.0
+    terms = [math.exp(j * log_h - h - math.lgamma(j + 1.0))
+             for j in (start + i for i in range(dof // 2))]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return math.fsum(terms)
+
+
 def _sigma_equivalent(p_value: float) -> float:
-    if p_value <= 0.0:
+    half = min(1.0, p_value) / 2.0
+    if half <= 0.0:
         return math.inf
-    return float(norm.isf(min(1.0, p_value) / 2.0))
+    # 0.0 - z rather than -z: p = 1 gives +0.0, not -0.0.
+    return 0.0 - NormalDist().inv_cdf(half)
 
 
 @dataclass(frozen=True)
@@ -308,7 +334,8 @@ class CertificationReport:
     """Everything needed to state a dimension verdict from counts.
 
     ``certified`` holds exactly when the lower confidence end
-    ``value - halfwidth`` exceeds the qubit bound.
+    ``value - halfwidth`` exceeds the witness's ``threshold``, which sits at
+    or above the reported ``qubit_bound``.
     """
 
     witness_id: str
@@ -356,7 +383,7 @@ def certify(
         fraction=frac.fraction,
         fraction_halfwidth=halfwidth / span,
         below_bound=frac.below_bound,
-        certified=value - halfwidth > witness.qubit_bound,
+        certified=value - halfwidth > witness.threshold,
         total_shots=int(counts.repetitions.sum()),
         total_discarded=int(counts.discarded.sum()),
     )

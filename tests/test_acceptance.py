@@ -108,6 +108,14 @@ def test_criterion_3_qubit_bounds(optimized_bounds):
     _report(3, ok, f"{'; '.join(details)}; 50 restarts in {elapsed:.1f}s")
 
 
+def test_thresholds_cover_optimized_bounds(optimized_bounds):
+    # Certification must not pass data some qubit reaches. The slack is
+    # float rounding only: B2's optimum is 3 plus one ulp.
+    results, _ = optimized_bounds
+    for wid in ALL_WITNESSES:
+        assert get_witness(wid).threshold >= results[wid].value - 1e-12
+
+
 def test_criterion_4_closed_vs_generic_agreement():
     rng = np.random.default_rng(40)
     w = get_witness("T")

@@ -2,11 +2,13 @@
 reference implementations in ``oracles.py``."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc, ndtri
 
 import oracles
 import util
@@ -149,6 +151,32 @@ def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
     assert np.array_equal(
         bounds._nested_bound(witness.coefficients, ops), oracles.nested_bound(witness, ops)
     )
+
+
+@ORACLE
+@given(dof=st.integers(1, 400), data=st.data())
+def test_chi2_sf_matches_scipy(dof, data):
+    top = 20.0 * dof + 200.0
+    drawn = data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=20))
+    for x in [*drawn, *np.linspace(0.0, top, 201)]:
+        expected = chdtrc(dof, x)
+        if expected > 1e-300:
+            assert stats._chi2_sf(float(x), dof) == pytest.approx(expected, rel=1e-11, abs=0)
+
+
+@ORACLE
+@given(p=st.one_of(st.floats(0.0, 1.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)))
+def test_sigma_equivalent_matches_scipy(p):
+    expected = -ndtri(p / 2.0)
+    assert stats._sigma_equivalent(p) == pytest.approx(expected, rel=1e-11, abs=0)
+
+
+def test_chi2_sf_and_sigma_edges():
+    for dof in (1, 2, 14, 399):
+        assert stats._chi2_sf(0.0, dof) == 1.0
+    sigma = stats._sigma_equivalent(1.0)
+    assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
+    assert stats._sigma_equivalent(0.0) == math.inf
 
 
 QUBIT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))

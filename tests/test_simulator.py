@@ -90,6 +90,20 @@ class TestWitnessRegistry:
             assert len(w.terms) == (8 if wid == "T" else 4)
             assert all(coeff == 1.0 for _, _, coeff in w.terms)
 
+    def test_thresholds(self):
+        expected = {"B1": 3.0, "B2": 3.0, "B3": 3.1863, "B4": 3.1863, "T": 5.226}
+        for wid, threshold in expected.items():
+            assert get_witness(wid).threshold == threshold
+
+    def test_threshold_defaults_to_qubit_bound_and_never_below_it(self):
+        sc = Scenario(2, 2, 2)
+        terms = (((0, 0), (0, 0), 1.0),)
+        assert Witness("w", sc, terms, qubit_bound=0.5, algebraic_max=1.0).threshold == 0.5
+        assert Witness("w", sc, terms).threshold is None
+        for bound in (0.5, None):
+            with pytest.raises(ValueError, match="threshold"):
+                Witness("w", sc, terms, qubit_bound=bound, algebraic_max=1.0, threshold=0.4)
+
     def test_term_patterns(self):
         w3 = get_witness("B3")
         assert ((0, 0), (0, 1), 1.0) in w3.terms  # "+-" given settings 00

@@ -324,6 +324,21 @@ class TestCertify:
         assert not report.certified
         assert report.fraction == 0.0
 
+    def test_lower_end_between_reported_bound_and_threshold_not_certified(self):
+        # B3 at 3.1864 from 1e8 shots per sequence: the lower end 3.18621
+        # clears the reported 3.186 but not the qubit optimum 3.186228.
+        w = get_witness("B3")
+        counts = np.zeros((4, 4), dtype=np.int64)
+        for settings, outcomes, _ in w.terms:
+            i = encode_sequence(settings, 2)
+            counts[i, encode_sequence(outcomes, 2)] = 79_660_000
+            counts[i, 3 - encode_sequence(outcomes, 2)] = 20_340_000
+        report = certify(w, CountsTable(w.scenario, counts))
+        assert report.value == pytest.approx(3.1864)
+        assert report.qubit_bound == 3.186
+        assert 3.186 < report.value - report.halfwidth <= w.threshold
+        assert not report.certified
+
     def test_discard_rate_recorded(self):
         counts = table_one_counts("B1")
         with_discards = CountsTable(
