@@ -350,7 +350,7 @@ def _cmd_aot_test(args: argparse.Namespace) -> int:
         f"sigma equivalent: {result.sigma_equivalent:.3f}",
     ]
     machine = {"command": "aot-test", "input_sha256": digest, **asdict(result)}
-    if args.montecarlo:
+    if args.montecarlo is not None:
         mc = stats.aot_lr_test_montecarlo(counts, args.montecarlo, args.seed)
         text += [
             f"monte-carlo p-value: {mc.p_value:.6g} "

@@ -83,10 +83,14 @@ class Scenario:
 
     def to_history(self, table: np.ndarray) -> np.ndarray:
         """History-tensor view of a ``(setting sequence, outcome sequence)``
-        array."""
+        array, or of a stack of them on leading batch axes, which are kept
+        in front."""
         length = self.length
-        arr = np.reshape(table, (self.settings,) * length + (self.outcomes,) * length)
-        return arr.transpose([t + length * j for t in range(length) for j in (0, 1)])
+        batch = np.shape(table)[:-2]
+        arr = np.reshape(table, batch + (self.settings,) * length + (self.outcomes,) * length)
+        first = len(batch)
+        return arr.transpose([*range(first), *(first + t + length * j
+                                               for t in range(length) for j in (0, 1))])
 
     def from_history(self, tensor: np.ndarray) -> np.ndarray:
         """The ``(setting sequence, outcome sequence)`` array of a history

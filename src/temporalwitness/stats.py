@@ -7,7 +7,10 @@ model against unconstrained per-sequence multinomials, with the degrees of
 freedom given by the exact number of independent AoT constraints. Its
 chi-square tail and the normal quantile of the sigma equivalent are computed
 in closed form with the standard library (``math`` and
-``statistics.NormalDist``).
+``statistics.NormalDist``). Its Monte Carlo calibration draws and scores the
+null-model replications in chunks, one multinomial draw and one batched
+statistic per chunk, with the draw stream of one draw per replication and
+setting sequence.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .simulator import (
     encode_sequence,
     evaluate_witness,
 )
+
+# Table cells per chunk of Monte Carlo replications drawn and scored at once.
+MC_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +171,7 @@ class AotTestResult:
     sigma_equivalent: float
 
 
-def _pooled_levels(counts: CountsTable) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pooled_levels(scenario: Scenario, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pooled counts of the factorized model's conditionals, step by step.
 
     At step ``t``, the conditional for the step-``t`` outcome is estimated
@@ -174,11 +180,12 @@ def _pooled_levels(counts: CountsTable) -> list[tuple[np.ndarray, np.ndarray]]:
     pooling is the exact maximum-likelihood fit of the AoT model. Entry
     ``t - 1`` holds the counts of each history ``(x_1 a_1 .. x_t a_t)``, a
     sum over the trailing axes of the counts' history tensor, and those of
-    its context, with the outcome axis kept at length one.
+    its context, with the outcome axis kept at length one. Leading batch
+    axes of ``counts`` stay in front.
     """
-    pooled = counts.scenario.to_history(counts.counts)
+    pooled = scenario.to_history(counts)
     levels = []
-    for _ in range(counts.scenario.length):
+    for _ in range(scenario.length):
         context = pooled.sum(axis=-1, keepdims=True)
         levels.append((pooled, context))
         pooled = context[..., 0].sum(axis=-1)
@@ -194,7 +201,7 @@ def null_model_table(counts: CountsTable) -> CorrelationTable:
     """
     sc = counts.scenario
     tensor = np.ones(())
-    for pooled, context in _pooled_levels(counts):
+    for pooled, context in _pooled_levels(sc, counts.counts):
         conditional = np.where(
             context > 0, pooled / np.maximum(context, 1), 1.0 / sc.outcomes
         )
@@ -202,16 +209,33 @@ def null_model_table(counts: CountsTable) -> CorrelationTable:
     return CorrelationTable(scenario=sc, probs=sc.from_history(tensor))
 
 
-def _log_likelihood(k: np.ndarray, n: np.ndarray) -> float:
-    """``sum k log(k / n)`` over the nonzero ``k``, with ``n`` broadcast."""
+def _log_likelihood(k: np.ndarray, n: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """``sum k log(k / n)`` over the nonzero ``k`` of each table on the
+    leading ``batch`` axes, with ``n`` broadcast.
+
+    Each table's nonzero terms are summed as one contiguous row, as for a
+    lone table, so that a table scores alike alone or in a batch: the tables
+    with the same number of nonzero terms are the rows of one matrix.
+    """
     seen = k > 0
-    return float(np.sum(k[seen] * np.log(k[seen] / np.broadcast_to(n, k.shape)[seen])))
+    values = k[seen] * np.log(k[seen] / np.broadcast_to(n, k.shape)[seen])
+    nonzero = seen.reshape(math.prod(batch), -1).sum(axis=1)
+    starts = np.cumsum(nonzero) - nonzero
+    total = np.zeros(len(nonzero))
+    for size in np.unique(nonzero):
+        rows = nonzero == size
+        total[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return total.reshape(batch)
 
 
-def _aot_statistic(counts: CountsTable) -> float:
-    log_alt = _log_likelihood(counts.counts, counts.repetitions[:, None])
-    log_null = sum(_log_likelihood(*level) for level in _pooled_levels(counts))
-    return max(0.0, 2.0 * (log_alt - log_null))
+def _aot_statistic(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
+    """The LR statistic of each counts table on the leading axes of
+    ``counts``, of shape ``(..., setting sequences, outcome sequences)``."""
+    batch = counts.shape[:-2]
+    log_alt = _log_likelihood(counts, counts.sum(axis=-1, keepdims=True), batch)
+    log_null = sum(_log_likelihood(pooled, context, batch)
+                   for pooled, context in _pooled_levels(scenario, counts))
+    return np.maximum(0.0, 2.0 * (log_alt - log_null))
 
 
 def aot_lr_test(counts: CountsTable) -> AotTestResult:
@@ -228,7 +252,7 @@ def aot_lr_test(counts: CountsTable) -> AotTestResult:
     dof = polytope.independent_constraint_count(counts.scenario)
     if dof == 0:
         raise ValueError("scenario has no AoT constraints to test")
-    statistic = _aot_statistic(counts)
+    statistic = float(_aot_statistic(counts.scenario, counts.counts))
     p_value = _chi2_sf(statistic, dof)
     return AotTestResult(
         statistic=statistic,
@@ -282,17 +306,26 @@ class AotMonteCarloResult:
 def aot_lr_test_montecarlo(
     counts: CountsTable, replications: int, seed: int
 ) -> AotMonteCarloResult:
+    """The LR test, with its p-value calibrated by drawing ``replications``
+    tables of the observed shots per sequence from the fitted null model.
+
+    Replications are drawn and scored in chunks of at most
+    ``MC_CHUNK_CELLS`` table cells, so memory does not grow with
+    ``replications``; the draws are those of a loop of one draw per
+    replication and setting sequence.
+    """
     asymptotic = aot_lr_test(counts)
     if replications < 1:
         raise ValueError("need at least one replication")
-    null_table = null_model_table(counts)
+    null_probs = null_model_table(counts).probs
     rng = np.random.default_rng(seed)
     n_per_seq = counts.repetitions
+    chunk = max(1, MC_CHUNK_CELLS // counts.counts.size)
     exceed = 0
-    for _ in range(replications):
-        sampled = sample_counts(null_table, n_per_seq, rng)
-        if _aot_statistic(sampled) >= asymptotic.statistic - 1e-12:
-            exceed += 1
+    for start in range(0, replications, chunk):
+        sampled = _draw_counts(rng, null_probs, n_per_seq, min(chunk, replications - start))
+        statistics = _aot_statistic(counts.scenario, sampled)
+        exceed += int(np.count_nonzero(statistics >= asymptotic.statistic - 1e-12))
     p_value = (1 + exceed) / (replications + 1)
     return AotMonteCarloResult(
         asymptotic=asymptotic,
@@ -301,6 +334,17 @@ def aot_lr_test_montecarlo(
         p_value=p_value,
         sigma_equivalent=_sigma_equivalent(p_value),
     )
+
+
+def _draw_counts(
+    rng: np.random.Generator, probs: np.ndarray, repetitions: np.ndarray, *batch: int
+) -> np.ndarray:
+    """Multinomial counts of ``repetitions[x]`` shots from each row ``x`` of
+    ``probs``, normalized, stacked on the leading ``batch`` axes. numpy draws
+    them index by index and row by row, so the stream is that of one
+    ``rng.multinomial`` call per row in that order."""
+    rows = probs / probs.sum(axis=1, keepdims=True)
+    return rng.multinomial(repetitions, rows, size=(*batch, len(probs)))
 
 
 def sample_counts(
@@ -317,10 +361,7 @@ def sample_counts(
     reps = np.broadcast_to(
         np.asarray(repetitions, dtype=np.int64), (sc.num_setting_sequences,)
     )
-    counts = np.zeros((sc.num_setting_sequences, sc.num_outcome_sequences), dtype=np.int64)
-    for x_idx in range(sc.num_setting_sequences):
-        row = table.probs[x_idx]
-        counts[x_idx] = rng.multinomial(int(reps[x_idx]), row / row.sum())
+    counts = _draw_counts(rng, table.probs, reps)
     disc = None if discarded is None else np.asarray(discarded, dtype=np.int64)
     return CountsTable(scenario=sc, counts=counts, discarded=disc)
 

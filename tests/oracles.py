@@ -3,8 +3,9 @@ bound refinement.
 
 Each walker goes through the tree of measurement histories cell by cell or
 node by node, without the history-tensor view; ``refine`` runs one scipy
-Nelder-Mead search per start on a scalar objective. They are the references
-for the randomized comparisons in ``test_oracles.py``.
+Nelder-Mead search per start on a scalar objective; the Monte Carlo AoT
+calibration draws and scores one replication at a time. They are the
+references for the randomized comparisons in ``test_oracles.py``.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
 from temporalwitness.qcore import apply_map
 from temporalwitness.simulator import CorrelationTable, Scenario, decode_index, encode_sequence
@@ -122,6 +124,27 @@ def aot_log_likelihoods(counts):
 def aot_statistic(counts):
     log_alt, log_null = aot_log_likelihoods(counts)
     return max(0.0, 2.0 * (log_alt - log_null))
+
+
+def sample_counts(table, repetitions, rng):
+    """One multinomial draw per setting sequence, row by row."""
+    counts = np.zeros(table.probs.shape, dtype=np.int64)
+    for x_idx, row in enumerate(table.probs):
+        counts[x_idx] = rng.multinomial(int(repetitions[x_idx]), row / row.sum())
+    return stats.CountsTable(table.scenario, counts)
+
+
+def aot_montecarlo_p_value(counts, replications, seed):
+    """Monte Carlo p-value of the AoT statistic, one replication at a time:
+    draw each from the null model, score it, compare with the observed."""
+    observed = aot_statistic(counts)
+    null = stats.null_model_table(counts)
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(replications):
+        if aot_statistic(sample_counts(null, counts.repetitions, rng)) >= observed - 1e-12:
+            exceed += 1
+    return (1 + exceed) / (replications + 1)
 
 
 def nested_bound(witness, ops):

@@ -276,3 +276,15 @@ class TestAotTestCommand:
         )
         assert code == 0
         assert "monte-carlo p-value" in out
+
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_montecarlo_without_replications_rejected(self, capsys, tmp_path, replications):
+        counts = stats.sample_counts(
+            simulator.sequence_probabilities(protocols.optimal_protocol("B1"), 2), 100, rng=3
+        )
+        path = tmp_path / "counts.txt"
+        path.write_text(format_counts_file(counts))
+        code, out, err = run(capsys, "aot-test", str(path), "--montecarlo", replications)
+        assert code == 2
+        assert out == ""
+        assert "need at least one replication" in err

@@ -3,6 +3,7 @@ reference implementations in ``oracles.py``."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,23 +120,82 @@ counts_scenarios = st.sampled_from(
 
 @ORACLE
 @given(seed=seeds, dims=counts_scenarios, shots=st.integers(1, 200),
-       sparsity=st.floats(0.0, 0.9))
-def test_aot_statistics_match_dict_loops(seed, dims, shots, sparsity):
+       sparsity=st.floats(0.0, 0.9), batch=st.sampled_from([(), (3,), (2, 2)]))
+def test_aot_statistics_match_dict_loops(seed, dims, shots, sparsity, batch):
     rng = np.random.default_rng(seed)
     sc = Scenario(*dims)
+    shape = batch + (sc.num_setting_sequences, sc.num_outcome_sequences)
+    raw = rng.integers(0, shots + 1, size=shape) * (rng.random(shape) >= sparsity)
+    statistics = stats._aot_statistic(sc, raw)
+    assert statistics.shape == batch
+
+    for index in np.ndindex(batch):
+        counts = stats.CountsTable(sc, raw[index])
+        # Both sides sum many terms of either sign, so they agree to 1e-12
+        # relative to the log-likelihoods, not to their difference.
+        log_alt, log_null = oracles.aot_log_likelihoods(counts)
+        scale = 1.0 + abs(log_alt) + abs(log_null)
+        assert abs(statistics[index] - oracles.aot_statistic(counts)) <= 1e-12 * scale
+
+        null = stats.null_model_table(counts)
+        expected = oracles.null_model_table(counts)
+        assert np.allclose(null.probs, expected.probs, rtol=0, atol=1e-12)
+
+
+@ORACLE
+@given(seed=seeds, dims=counts_scenarios, batch=st.sampled_from([(), (1,), (3,), (2, 3)]))
+def test_history_view_of_stacked_tables(seed, dims, batch):
+    sc = Scenario(*dims)
+    tables = np.random.default_rng(seed).random(
+        batch + (sc.num_setting_sequences, sc.num_outcome_sequences))
+    tensor = sc.to_history(tables)
+    assert tensor.shape == batch + (sc.settings, sc.outcomes) * sc.length
+    for index in np.ndindex(batch):
+        assert np.array_equal(tensor[index], sc.to_history(tables[index]))
+
+
+def null_model_counts(rng, sc, shots, sparsity, prefix_gap):
+    """Sparse counts with at least one shot per setting sequence. With
+    ``prefix_gap`` no shot has the last outcome first, so every context
+    that follows it never occurs."""
     shape = (sc.num_setting_sequences, sc.num_outcome_sequences)
     raw = rng.integers(0, shots + 1, size=shape) * (rng.random(shape) >= sparsity)
-    counts = stats.CountsTable(sc, raw)
+    if prefix_gap:
+        raw[:, -sc.outcomes ** (sc.length - 1):] = 0
+    empty = raw.sum(axis=1) == 0
+    raw[empty, rng.integers(0, sc.num_outcome_sequences // sc.outcomes, empty.sum())] = 1
+    return stats.CountsTable(sc, raw)
 
-    # Both sides sum many terms of either sign, so they agree to 1e-12
-    # relative to the log-likelihoods, not to their difference.
-    log_alt, log_null = oracles.aot_log_likelihoods(counts)
-    scale = 1.0 + abs(log_alt) + abs(log_null)
-    assert abs(stats._aot_statistic(counts) - oracles.aot_statistic(counts)) <= 1e-12 * scale
 
-    null = stats.null_model_table(counts)
-    expected = oracles.null_model_table(counts)
-    assert np.allclose(null.probs, expected.probs, rtol=0, atol=1e-12)
+@ORACLE
+@given(seed=seeds, dims=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 2, 2)]),
+       shots=st.integers(1, 60), sparsity=st.floats(0.0, 0.9), prefix_gap=st.booleans(),
+       replications=st.integers(1, 300), chunk=st.integers(1, 64), spare=st.floats(0.0, 1.0))
+def test_montecarlo_chunks_match_replication_loop(seed, dims, shots, sparsity, prefix_gap,
+                                                  replications, chunk, spare):
+    sc = Scenario(*dims)
+    counts = null_model_counts(np.random.default_rng(seed), sc, shots, sparsity, prefix_gap)
+    # Chunks of ``chunk`` replications, so that boundaries fall mid-run.
+    cells = chunk * counts.counts.size + int(spare * (counts.counts.size - 1))
+    with mock.patch.object(stats, "MC_CHUNK_CELLS", cells):
+        result = stats.aot_lr_test_montecarlo(counts, replications, seed)
+    assert result.p_value == oracles.aot_montecarlo_p_value(counts, replications, seed)
+
+
+@ORACLE
+@given(seed=seeds, dims=counts_scenarios, shots=st.integers(0, 500))
+def test_sample_counts_match_row_loop(seed, dims, shots):
+    rng = np.random.default_rng(seed)
+    sc = Scenario(*dims)
+    table = random_table(rng, sc, sparsity=0.5)
+    probs = table.probs.copy()
+    probs[0] = np.eye(1, sc.num_outcome_sequences, sc.num_outcome_sequences - 1)
+    table = CorrelationTable(sc, probs)
+    reps = rng.integers(0, shots + 1, sc.num_setting_sequences)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    sampled = stats.sample_counts(table, reps, ours)
+    assert np.array_equal(sampled.counts, oracles.sample_counts(table, reps, theirs).counts)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @ORACLE

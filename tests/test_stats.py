@@ -2,6 +2,7 @@
 likelihood-ratio test, and certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,21 @@ class TestAotLrTest:
         )
         mc = aot_lr_test_montecarlo(counts, replications=50, seed=26)
         assert mc.p_value == pytest.approx(1.0)
+
+    def test_montecarlo_memory_does_not_grow_with_replications(self):
+        # Replications are drawn and scored in chunks, so the peak traced
+        # allocation stays flat as their number grows tenfold.
+        counts = sample_counts(noisy_table("T"), 3000, rng=27)
+
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                aot_lr_test_montecarlo(counts, replications=replications, seed=28)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= 1.5 * peak(2_000)
 
 
 class TestCertify:
