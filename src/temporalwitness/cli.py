@@ -9,6 +9,7 @@ reports embed both.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -22,12 +23,9 @@ from .simulator import (
     CorrelationTable,
     GuardExceeded,
     Scenario,
-    decode_index,
-    encode_sequence,
-    format_outcome_sequence,
-    format_setting_sequence,
-    parse_outcome_sequence,
-    parse_setting_sequence,
+    format_header,
+    sequence_indexers,
+    sequence_labels,
 )
 
 EXIT_OK = 0
@@ -42,26 +40,14 @@ EXIT_GUARD = 3
 def format_counts_file(
     counts: stats.CountsTable, witness_id: str | None = None
 ) -> str:
-    sc = counts.scenario
-    lines = [
-        "counts v1",
-        f"length: {sc.length}",
-        f"settings: {sc.settings}",
-        f"outcomes: {sc.outcomes}",
-    ]
+    lines = format_header("counts", counts.scenario)
     if witness_id is not None:
         lines.append(f"witness: {witness_id}")
-    for x_idx in range(sc.num_setting_sequences):
-        x_seq = decode_index(x_idx, sc.settings, sc.length)
-        lines.append("")
-        lines.append(f"sequence: {format_setting_sequence(x_seq)}")
-        lines.append(f"n: {int(counts.repetitions[x_idx])}")
-        lines.append(f"discarded: {int(counts.discarded[x_idx])}")
-        for a_idx in range(sc.num_outcome_sequences):
-            a_seq = decode_index(a_idx, sc.outcomes, sc.length)
-            lines.append(
-                f"{format_outcome_sequence(a_seq, sc)} {int(counts.counts[x_idx, a_idx])}"
-            )
+    x_labels, a_labels = sequence_labels(counts.scenario)
+    for x_txt, n, discarded, row in zip(x_labels, counts.repetitions.tolist(),
+                                        counts.discarded.tolist(), counts.counts.tolist()):
+        lines += ["", f"sequence: {x_txt}", f"n: {n}", f"discarded: {discarded}"]
+        lines += [f"{a_txt} {k}" for a_txt, k in zip(a_labels, row)]
     return "\n".join(lines) + "\n"
 
 
@@ -98,14 +84,15 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     )
     discarded = np.zeros(scenario.num_setting_sequences, dtype=np.int64)
     seen: set[int] = set()
+    setting_index, outcome_index = sequence_indexers(scenario)
     while pos < len(lines):
         key, sep, rest = lines[pos].partition(":")
         if key.strip() != "sequence" or not sep:
             raise ValueError(f"expected a 'sequence:' record, got {lines[pos]!r}")
-        x_seq = parse_setting_sequence(rest.strip(), scenario)
-        x_idx = encode_sequence(x_seq, scenario.settings)
+        x_txt = rest.strip()
+        x_idx = setting_index(x_txt)
         if x_idx in seen:
-            raise ValueError(f"duplicate record for sequence {rest.strip()!r}")
+            raise ValueError(f"duplicate record for sequence {x_txt!r}")
         seen.add(x_idx)
         pos += 1
         declared_n: int | None = None
@@ -120,14 +107,13 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
                 parts = ln.split()
                 if len(parts) != 2:
                     raise ValueError(f"malformed counts line {ln!r}")
-                a_seq = parse_outcome_sequence(parts[0], scenario)
-                counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = int(parts[1])
+                counts[x_idx, outcome_index(parts[0])] = int(parts[1])
             pos += 1
         if declared_n is None:
-            raise ValueError(f"record {format_setting_sequence(x_seq)!r} is missing 'n'")
+            raise ValueError(f"record {x_txt!r} is missing 'n'")
         if counts[x_idx].sum() != declared_n:
             raise ValueError(
-                f"counts for sequence {format_setting_sequence(x_seq)!r} sum to "
+                f"counts for sequence {x_txt!r} sum to "
                 f"{int(counts[x_idx].sum())}, expected n={declared_n}"
             )
     if len(seen) != scenario.num_setting_sequences:
@@ -153,16 +139,10 @@ def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> Non
 
 
 def _table_rows(table: CorrelationTable) -> list[dict]:
-    sc = table.scenario
-    rows = []
-    for x_idx in range(sc.num_setting_sequences):
-        x_txt = format_setting_sequence(decode_index(x_idx, sc.settings, sc.length))
-        for a_idx in range(sc.num_outcome_sequences):
-            a_txt = format_outcome_sequence(decode_index(a_idx, sc.outcomes, sc.length), sc)
-            rows.append(
-                {"settings": x_txt, "outcomes": a_txt, "p": table.probs[x_idx, a_idx]}
-            )
-    return rows
+    x_labels, a_labels = sequence_labels(table.scenario)
+    return [{"settings": x_txt, "outcomes": a_txt, "p": p}
+            for x_txt, row in zip(x_labels, table.probs.tolist())
+            for a_txt, p in zip(a_labels, row)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +168,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         table = simulator.apply_readout_noise(table, resolver, noise)
     value = simulator.evaluate_witness(witness, table) if witness else None
 
-    text = [simulator.format_correlation_table(table).rstrip("\n")]
-    machine: dict = {"command": "simulate", "length": length, "rows": _table_rows(table)}
+    if args.format == "machine":
+        text, machine = [], {"command": "simulate", "length": length, "rows": _table_rows(table)}
+    else:
+        text, machine = [simulator.format_correlation_table(table).rstrip("\n")], {}
     if args.noise is not None:
         machine["noise"] = {"bright": args.noise[0], "dark": args.noise[1]}
     if value is not None:
@@ -248,15 +230,11 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _format_strategy(strategy: polytope.DeterministicStrategy) -> str:
     sc = strategy.scenario
+    _, symbols = sequence_labels(Scenario(1, sc.settings, sc.outcomes))
     parts = []
     for t, table in enumerate(strategy.moves):
-        assignments = []
-        for prefix_idx, outcome in enumerate(table):
-            prefix = decode_index(prefix_idx, sc.settings, t + 1)
-            assignments.append(
-                f"{format_setting_sequence(prefix)}->"
-                f"{format_outcome_sequence((outcome,), Scenario(1, sc.settings, sc.outcomes))}"
-            )
+        prefixes, _ = sequence_labels(Scenario(t + 1, sc.settings, sc.outcomes))
+        assignments = (f"{prefix}->{symbols[outcome]}" for prefix, outcome in zip(prefixes, table))
         parts.append(f"f{t + 1}: " + " ".join(assignments))
     return "; ".join(parts)
 
@@ -467,8 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main`, not at import,
+    and reused after that."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

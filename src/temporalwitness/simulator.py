@@ -15,10 +15,16 @@ last two axes are the last step, so summing or contracting them moves one
 level up the tree: the simulator, readout noise, the AoT statistics, the
 nested qubit bound and the algebraic maximum are all loops over levels of
 this tensor, and only this module knows the encoding.
+
+The text labels of the cells come from one enumeration per scenario,
+:func:`sequence_labels`, in index order: the table and counts-file writers
+zip them with the rows, and the readers map labels back to indices
+(:func:`sequence_indexers`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,6 +134,30 @@ def parse_outcome_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
     if len(seq) != scenario.length or any(not 0 <= a < scenario.outcomes for a in seq):
         raise ValueError(f"bad outcome sequence {text!r} for {scenario}")
     return seq
+
+
+def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
+    """The label of every setting sequence and of every outcome sequence,
+    in index order (first step most significant)."""
+    settings = itertools.product(range(scenario.settings), repeat=scenario.length)
+    outcomes = itertools.product(range(scenario.outcomes), repeat=scenario.length)
+    return ([format_setting_sequence(seq) for seq in settings],
+            [format_outcome_sequence(seq, scenario) for seq in outcomes])
+
+
+def sequence_indexers(scenario: Scenario) -> tuple[Callable[[str], int], Callable[[str], int]]:
+    """Maps from a setting label and from an outcome label to its index. The
+    labels of :func:`sequence_labels` with one character per step are looked
+    up. Other text, such as the ambiguous labels of eleven or more settings
+    or outcomes, goes through ``parse_*_sequence``, which raises on bad text."""
+    def indexer(labels: list[str], parse: Callable, base: int) -> Callable[[str], int]:
+        known = {label: i for i, label in enumerate(labels) if len(label) == scenario.length}
+        return lambda text: known[text] if text in known else encode_sequence(
+            parse(text, scenario), base)
+
+    x_labels, a_labels = sequence_labels(scenario)
+    return (indexer(x_labels, parse_setting_sequence, scenario.settings),
+            indexer(a_labels, parse_outcome_sequence, scenario.outcomes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,19 +407,17 @@ def evaluate_witness(witness: Witness, table: CorrelationTable) -> float:
 # Table serialization
 # ---------------------------------------------------------------------------
 
+def format_header(kind: str, scenario: Scenario) -> list[str]:
+    """The header lines of a table or counts file of ``kind``."""
+    return [f"{kind} v1", f"length: {scenario.length}", f"settings: {scenario.settings}",
+            f"outcomes: {scenario.outcomes}"]
+
+
 def format_correlation_table(table: CorrelationTable) -> str:
-    sc = table.scenario
-    lines = [
-        "correlation-table v1",
-        f"length: {sc.length}",
-        f"settings: {sc.settings}",
-        f"outcomes: {sc.outcomes}",
-    ]
-    for x_idx in range(sc.num_setting_sequences):
-        x_txt = format_setting_sequence(decode_index(x_idx, sc.settings, sc.length))
-        for a_idx in range(sc.num_outcome_sequences):
-            a_txt = format_outcome_sequence(decode_index(a_idx, sc.outcomes, sc.length), sc)
-            lines.append(f"{x_txt} {a_txt} {table.probs[x_idx, a_idx]:.12g}")
+    lines = format_header("correlation-table", table.scenario)
+    x_labels, a_labels = sequence_labels(table.scenario)
+    for x_txt, row in zip(x_labels, table.probs.tolist()):
+        lines += [f"{x_txt} {a_txt} {p:.12g}" for a_txt, p in zip(a_labels, row)]
     return "\n".join(lines) + "\n"
 
 
@@ -411,14 +439,12 @@ def parse_correlation_table(text: str) -> CorrelationTable:
     scenario = Scenario(header["length"], header["settings"], header["outcomes"])
     probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
     seen = np.zeros(probs.shape, dtype=bool)
+    setting_index, outcome_index = sequence_indexers(scenario)
     for ln in lines[body_start:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"malformed table row: {ln!r}")
-        x_seq = parse_setting_sequence(parts[0], scenario)
-        a_seq = parse_outcome_sequence(parts[1], scenario)
-        i = encode_sequence(x_seq, scenario.settings)
-        j = encode_sequence(a_seq, scenario.outcomes)
+        i, j = setting_index(parts[0]), outcome_index(parts[1])
         if seen[i, j]:
             raise ValueError(f"duplicate table row for {parts[0]} {parts[1]}")
         seen[i, j] = True

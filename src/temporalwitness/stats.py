@@ -42,7 +42,9 @@ class CountsTable:
     of validation-rejected shots per setting sequence.
 
     Rejected shots are excluded from the counts and from the per-sequence
-    totals; they only enter the reported discard rate.
+    totals, so the frequencies and the reported witness value ignore them.
+    The certification verdict does not: :func:`certify` scores every
+    rejected shot as a failure.
     """
 
     scenario: Scenario
@@ -228,13 +230,21 @@ def _log_likelihood(k: np.ndarray, n: np.ndarray, batch: tuple[int, ...]) -> np.
     return total.reshape(batch)
 
 
-def _aot_statistic(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
-    """The LR statistic of each counts table on the leading axes of
-    ``counts``, of shape ``(..., setting sequences, outcome sequences)``."""
+def _log_likelihoods(scenario: Scenario, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unconstrained and the factorized maximized log-likelihoods of each
+    counts table on the leading axes of ``counts``, of shape
+    ``(..., setting sequences, outcome sequences)``."""
     batch = counts.shape[:-2]
     log_alt = _log_likelihood(counts, counts.sum(axis=-1, keepdims=True), batch)
     log_null = sum(_log_likelihood(pooled, context, batch)
                    for pooled, context in _pooled_levels(scenario, counts))
+    return log_alt, log_null
+
+
+def _aot_statistic(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
+    """The LR statistic of each counts table on the leading axes of
+    ``counts``."""
+    log_alt, log_null = _log_likelihoods(scenario, counts)
     return np.maximum(0.0, 2.0 * (log_alt - log_null))
 
 
@@ -312,12 +322,21 @@ def aot_lr_test_montecarlo(
     Replications are drawn and scored in chunks of at most
     ``MC_CHUNK_CELLS`` table cells, so memory does not grow with
     ``replications``; the draws are those of a loop of one draw per
-    replication and setting sequence.
+    replication and setting sequence. A replication counts as at least as
+    extreme as the observed table when its statistic is at most
+    ``1e-12 * max(1, |log_alt| + |log_null|)`` below the observed one, where
+    ``log_alt`` and ``log_null`` are the observed table's log-likelihoods.
     """
     asymptotic = aot_lr_test(counts)
     if replications < 1:
         raise ValueError("need at least one replication")
     null_probs = null_model_table(counts).probs
+    # The statistic is a difference of sums whose rounding error is a few
+    # ulp of the log-likelihoods; this tolerance is thousands of ulp, so a
+    # replication that ties the observed table mathematically, such as a
+    # relabelled copy, counts whatever the order of summation.
+    log_alt, log_null = _log_likelihoods(counts.scenario, counts.counts)
+    cutoff = asymptotic.statistic - 1e-12 * max(1.0, abs(log_alt) + abs(log_null))
     rng = np.random.default_rng(seed)
     n_per_seq = counts.repetitions
     chunk = max(1, MC_CHUNK_CELLS // counts.counts.size)
@@ -325,7 +344,7 @@ def aot_lr_test_montecarlo(
     for start in range(0, replications, chunk):
         sampled = _draw_counts(rng, null_probs, n_per_seq, min(chunk, replications - start))
         statistics = _aot_statistic(counts.scenario, sampled)
-        exceed += int(np.count_nonzero(statistics >= asymptotic.statistic - 1e-12))
+        exceed += int(np.count_nonzero(statistics >= cutoff))
     p_value = (1 + exceed) / (replications + 1)
     return AotMonteCarloResult(
         asymptotic=asymptotic,
@@ -374,9 +393,14 @@ def sample_counts(
 class CertificationReport:
     """Everything needed to state a dimension verdict from counts.
 
-    ``certified`` holds exactly when the lower confidence end
-    ``value - halfwidth`` exceeds the witness's ``threshold``, which sits at
-    or above the reported ``qubit_bound``.
+    ``value``, ``halfwidth``, the fractions and the ratio ignore discarded
+    shots. ``certified`` counts them as failures: it holds exactly when the
+    lower confidence end ``sum_x k_x / (n_x + d_x) - t`` exceeds the
+    witness's ``threshold``, which sits at or above the reported
+    ``qubit_bound``. Here ``k_x`` counts the witness outcomes of setting
+    sequence ``x``, ``n_x`` its recorded and ``d_x`` its discarded shots,
+    and ``t`` is the Hoeffding half-width for ``n_x + d_x`` shots. Without
+    discards this is ``value - halfwidth``.
     """
 
     witness_id: str
@@ -411,6 +435,15 @@ def certify(
         raise ValueError("witness and counts scenarios do not match")
     value = evaluate_witness(witness, frequencies(counts))
     halfwidth = hoeffding_halfwidth(witness, counts, spec)
+    # The verdict scores every discarded shot as a failure of the witness.
+    sc = counts.scenario
+    attempted = counts.repetitions + counts.discarded
+    lower = 0.0
+    for x, a, coeff in witness.terms:
+        i = encode_sequence(x, sc.settings)
+        lower += coeff * float(counts.counts[i, encode_sequence(a, sc.outcomes)] / attempted[i])
+    shots = {x: int(attempted[encode_sequence(x, sc.settings)]) for x in witness.setting_sequences}
+    lower -= hoeffding_halfwidth(witness, shots, spec)
     frac = qutrit_fraction(value, witness.qubit_bound, witness.algebraic_max)
     span = witness.algebraic_max - witness.qubit_bound
     return CertificationReport(
@@ -424,7 +457,7 @@ def certify(
         fraction=frac.fraction,
         fraction_halfwidth=halfwidth / span,
         below_bound=frac.below_bound,
-        certified=value - halfwidth > witness.threshold,
+        certified=lower > witness.threshold,
         total_shots=int(counts.repetitions.sum()),
         total_discarded=int(counts.discarded.sum()),
     )

@@ -5,7 +5,9 @@ Each walker goes through the tree of measurement histories cell by cell or
 node by node, without the history-tensor view; ``refine`` runs one scipy
 Nelder-Mead search per start on a scalar objective; the Monte Carlo AoT
 calibration draws and scores one replication at a time. They are the
-references for the randomized comparisons in ``test_oracles.py``.
+references for the randomized comparisons in ``test_oracles.py``. The
+table and counts-file writers and readers decode, parse and encode every
+label cell by cell.
 """
 
 import math
@@ -16,7 +18,16 @@ from scipy.optimize import minimize
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
 from temporalwitness.qcore import apply_map
-from temporalwitness.simulator import CorrelationTable, Scenario, decode_index, encode_sequence
+from temporalwitness.simulator import (
+    CorrelationTable,
+    Scenario,
+    decode_index,
+    encode_sequence,
+    format_outcome_sequence,
+    format_setting_sequence,
+    parse_outcome_sequence,
+    parse_setting_sequence,
+)
 
 
 def sequence_probabilities(protocol, length):
@@ -137,12 +148,13 @@ def sample_counts(table, repetitions, rng):
 def aot_montecarlo_p_value(counts, replications, seed):
     """Monte Carlo p-value of the AoT statistic, one replication at a time:
     draw each from the null model, score it, compare with the observed."""
-    observed = aot_statistic(counts)
+    log_alt, log_null = aot_log_likelihoods(counts)
+    cutoff = aot_statistic(counts) - 1e-12 * max(1.0, abs(log_alt) + abs(log_null))
     null = stats.null_model_table(counts)
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(replications):
-        if aot_statistic(sample_counts(null, counts.repetitions, rng)) >= observed - 1e-12:
+        if aot_statistic(sample_counts(null, counts.repetitions, rng)) >= cutoff:
             exceed += 1
     return (1 + exceed) / (replications + 1)
 
@@ -274,3 +286,160 @@ def greedy_independent_flags(scenario):
         flags.append(reduced is not None)
     return flags
 
+
+
+def format_correlation_table(table):
+    """The table text, one row per cell, each label decoded from its index."""
+    sc = table.scenario
+    lines = [
+        "correlation-table v1",
+        f"length: {sc.length}",
+        f"settings: {sc.settings}",
+        f"outcomes: {sc.outcomes}",
+    ]
+    for x_idx in range(sc.num_setting_sequences):
+        x_txt = format_setting_sequence(decode_index(x_idx, sc.settings, sc.length))
+        for a_idx in range(sc.num_outcome_sequences):
+            a_txt = format_outcome_sequence(decode_index(a_idx, sc.outcomes, sc.length), sc)
+            lines.append(f"{x_txt} {a_txt} {table.probs[x_idx, a_idx]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def table_rows(table):
+    """The machine-report rows of a table, cell by cell."""
+    sc = table.scenario
+    rows = []
+    for x_idx in range(sc.num_setting_sequences):
+        x_txt = format_setting_sequence(decode_index(x_idx, sc.settings, sc.length))
+        for a_idx in range(sc.num_outcome_sequences):
+            a_txt = format_outcome_sequence(decode_index(a_idx, sc.outcomes, sc.length), sc)
+            rows.append(
+                {"settings": x_txt, "outcomes": a_txt, "p": table.probs[x_idx, a_idx]}
+            )
+    return rows
+
+
+def format_counts_file(counts, witness_id=None):
+    """The counts file, record by record and cell by cell."""
+    sc = counts.scenario
+    lines = [
+        "counts v1",
+        f"length: {sc.length}",
+        f"settings: {sc.settings}",
+        f"outcomes: {sc.outcomes}",
+    ]
+    if witness_id is not None:
+        lines.append(f"witness: {witness_id}")
+    for x_idx in range(sc.num_setting_sequences):
+        x_seq = decode_index(x_idx, sc.settings, sc.length)
+        lines.append("")
+        lines.append(f"sequence: {format_setting_sequence(x_seq)}")
+        lines.append(f"n: {int(counts.repetitions[x_idx])}")
+        lines.append(f"discarded: {int(counts.discarded[x_idx])}")
+        for a_idx in range(sc.num_outcome_sequences):
+            a_seq = decode_index(a_idx, sc.outcomes, sc.length)
+            lines.append(
+                f"{format_outcome_sequence(a_seq, sc)} {int(counts.counts[x_idx, a_idx])}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def parse_correlation_table(text):
+    """The table reader that parses and encodes every label."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0] != "correlation-table v1":
+        raise ValueError("table file must start with 'correlation-table v1'")
+    header = {}
+    body_start = 1
+    for ln in lines[1:]:
+        key, sep, rest = ln.partition(":")
+        if not sep or key.strip() not in ("length", "settings", "outcomes"):
+            break
+        header[key.strip()] = int(rest.strip())
+        body_start += 1
+    if set(header) != {"length", "settings", "outcomes"}:
+        raise ValueError("table file must declare length, settings and outcomes")
+    scenario = Scenario(header["length"], header["settings"], header["outcomes"])
+    probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
+    seen = np.zeros(probs.shape, dtype=bool)
+    for ln in lines[body_start:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ValueError(f"malformed table row: {ln!r}")
+        x_seq = parse_setting_sequence(parts[0], scenario)
+        a_seq = parse_outcome_sequence(parts[1], scenario)
+        i = encode_sequence(x_seq, scenario.settings)
+        j = encode_sequence(a_seq, scenario.outcomes)
+        if seen[i, j]:
+            raise ValueError(f"duplicate table row for {parts[0]} {parts[1]}")
+        seen[i, j] = True
+        probs[i, j] = float(parts[2])
+    if not seen.all():
+        raise ValueError("table file is missing rows")
+    return CorrelationTable(scenario=scenario, probs=probs)
+
+
+def parse_counts_file(text):
+    """The counts-file reader that parses and encodes every label."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0] != "counts v1":
+        raise ValueError("counts file must start with 'counts v1'")
+    header = {}
+    pos = 1
+    while pos < len(lines) and not lines[pos].startswith("sequence:"):
+        key, sep, rest = lines[pos].partition(":")
+        key = key.strip()
+        if not sep or key not in ("length", "settings", "outcomes", "witness"):
+            raise ValueError(f"unknown counts-file key {key!r}")
+        header[key] = rest.strip()
+        pos += 1
+    try:
+        scenario = Scenario(
+            int(header["length"]), int(header["settings"]), int(header["outcomes"])
+        )
+    except KeyError as exc:
+        raise ValueError(f"counts file is missing the {exc.args[0]!r} header") from None
+    witness_id = header.get("witness")
+
+    counts = np.zeros(
+        (scenario.num_setting_sequences, scenario.num_outcome_sequences), dtype=np.int64
+    )
+    discarded = np.zeros(scenario.num_setting_sequences, dtype=np.int64)
+    seen = set()
+    while pos < len(lines):
+        key, sep, rest = lines[pos].partition(":")
+        if key.strip() != "sequence" or not sep:
+            raise ValueError(f"expected a 'sequence:' record, got {lines[pos]!r}")
+        x_seq = parse_setting_sequence(rest.strip(), scenario)
+        x_idx = encode_sequence(x_seq, scenario.settings)
+        if x_idx in seen:
+            raise ValueError(f"duplicate record for sequence {rest.strip()!r}")
+        seen.add(x_idx)
+        pos += 1
+        declared_n = None
+        while pos < len(lines) and not lines[pos].startswith("sequence:"):
+            ln = lines[pos]
+            key, sep, rest = ln.partition(":")
+            if sep and key.strip() == "n":
+                declared_n = int(rest.strip())
+            elif sep and key.strip() == "discarded":
+                discarded[x_idx] = int(rest.strip())
+            else:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"malformed counts line {ln!r}")
+                a_seq = parse_outcome_sequence(parts[0], scenario)
+                counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = int(parts[1])
+            pos += 1
+        if declared_n is None:
+            raise ValueError(f"record {format_setting_sequence(x_seq)!r} is missing 'n'")
+        if counts[x_idx].sum() != declared_n:
+            raise ValueError(
+                f"counts for sequence {format_setting_sequence(x_seq)!r} sum to "
+                f"{int(counts[x_idx].sum())}, expected n={declared_n}"
+            )
+    if len(seen) != scenario.num_setting_sequences:
+        raise ValueError("counts file does not cover every setting sequence")
+    return stats.CountsTable(scenario=scenario, counts=counts, discarded=discarded), witness_id

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from temporalwitness import protocols, simulator, stats
-from temporalwitness.cli import format_counts_file, main, parse_counts_file
+from temporalwitness import cli, protocols, simulator, stats
+from temporalwitness.cli import build_parser, format_counts_file, main, parse_counts_file
 from temporalwitness.simulator import Scenario
 
 
@@ -55,6 +55,35 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "B7")
         assert code == 2
         assert "unknown witness" in err
+
+
+class TestMain:
+    def test_parser_built_once_and_reused_across_commands(self, capsys, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            code, out, _ = run(capsys, "simulate", "B1", "--noise", "0.9", "0.9",
+                               "--format", "machine")
+            assert code == 0
+            noisy = json.loads(out)
+            assert noisy["noise"] == {"bright": 0.9, "dark": 0.9}
+            assert noisy["value"] < 4.0
+            code, out, _ = run(capsys, "polytope", "B1")
+            assert code == 0
+            assert "algebraic max: 4" in out
+            # No option of the first command carries over.
+            code, out, _ = run(capsys, "simulate", "B1")
+            assert code == 0
+            assert "witness B1 value: 4.000000" in out
+            assert builds == [1]
+        finally:
+            cli._parser.cache_clear()
 
 
 class TestBound:

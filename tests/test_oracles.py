@@ -1,7 +1,9 @@
-"""Randomized comparisons of the history-tensor walkers with the slow
-reference implementations in ``oracles.py``."""
+"""Randomized comparisons of the history-tensor walkers and of the
+label-table serializers with the slow reference implementations in
+``oracles.py``."""
 
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -13,7 +15,7 @@ from scipy.special import chdtrc, ndtri
 
 import oracles
 import util
-from temporalwitness import bounds, polytope, protocols, simulator, stats
+from temporalwitness import bounds, cli, polytope, protocols, simulator, stats
 from temporalwitness.protocols import BRIGHT, DARK
 from temporalwitness.qcore import Instrument, KrausMap
 from temporalwitness.simulator import CorrelationTable, ReadoutNoise, Scenario, Witness
@@ -339,3 +341,127 @@ def test_independence_count_matches_exact_elimination(dims):
         reduced = oracles.integer_row_reduce(basis, oracles.constraint_row(scenario, con))
         assert reduced is not None
         basis.append(reduced)
+
+
+# Scenarios with m in 1-3, d in 2-4 and L in 1-5, of at most 2^13 cells so
+# that the cell-by-cell references stay fast.
+label_scenarios = st.sampled_from([
+    Scenario(length, m, d)
+    for length, m, d in itertools.product(range(1, 6), (1, 2, 3), (2, 3, 4))
+    if (m * d) ** length <= 1 << 13
+])
+
+
+def label_table(rng, sc):
+    """A table with exact zeros and ones, short and full-precision entries."""
+    table = random_table(rng, sc, sparsity=0.4)
+    probs = table.probs.copy()
+    probs[0] = np.eye(1, sc.num_outcome_sequences, rng.integers(sc.num_outcome_sequences))
+    probs[-1] = 0.0
+    probs[-1, [0, -1]] += [0.25, 0.75]
+    return CorrelationTable(sc, probs)
+
+
+def label_counts(rng, sc):
+    shape = (sc.num_setting_sequences, sc.num_outcome_sequences)
+    raw = rng.integers(0, 1000, size=shape) * (rng.random(shape) >= 0.4)
+    return stats.CountsTable(sc, raw, discarded=rng.integers(0, 30, sc.num_setting_sequences))
+
+
+def parsed(parse, text):
+    """The parse result, or the message of the ValueError it raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def random_label(data, sc):
+    alphabet = "0123456789+-ab" if sc.outcomes == 2 else "0123456789ab"
+    return data.draw(st.text(alphabet, min_size=1, max_size=sc.length + 1))
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios)
+def test_table_writers_match_cell_loops(seed, sc):
+    table = label_table(np.random.default_rng(seed), sc)
+    text = simulator.format_correlation_table(table)
+    assert text == oracles.format_correlation_table(table)
+    rows, expected = cli._table_rows(table), oracles.table_rows(table)
+    assert rows == expected
+    assert json.dumps(rows, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    round_trip = simulator.parse_correlation_table(text)
+    assert np.array_equal(round_trip.probs, oracles.parse_correlation_table(text).probs)
+    assert np.array_equal(round_trip.probs, [[float(f"{p:.12g}") for p in row]
+                                             for row in table.probs])
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios, witness_id=st.sampled_from([None, "B1"]))
+def test_counts_writer_matches_cell_loop(seed, sc, witness_id):
+    counts = label_counts(np.random.default_rng(seed), sc)
+    text = cli.format_counts_file(counts, witness_id=witness_id)
+    assert text == oracles.format_counts_file(counts, witness_id=witness_id)
+    parsed_counts, parsed_id = cli.parse_counts_file(text)
+    assert parsed_id == witness_id
+    assert np.array_equal(parsed_counts.counts, counts.counts)
+    assert np.array_equal(parsed_counts.discarded, counts.discarded)
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios, data=st.data(),
+       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle"]))
+def test_table_reader_matches_label_parsing(seed, sc, data, edit):
+    rng = np.random.default_rng(seed)
+    lines = simulator.format_correlation_table(label_table(rng, sc)).splitlines()
+    header, body = lines[:4], lines[4:]
+    row = rng.integers(len(body))
+    x_txt, a_txt, p_txt = body[row].split()
+    if edit == "setting":
+        body[row] = f"{random_label(data, sc)} {a_txt} {p_txt}"
+    elif edit == "outcome":
+        body[row] = f"{x_txt} {random_label(data, sc)} {p_txt}"
+    elif edit == "duplicate":
+        other = body[rng.integers(len(body))].split()
+        body[row] = f"{other[0]} {other[1]} {p_txt}"
+    elif edit == "missing":
+        del body[row]
+    else:
+        rng.shuffle(body)
+    text = "\n".join(header + body) + "\n"
+    ours = parsed(simulator.parse_correlation_table, text)
+    theirs = parsed(oracles.parse_correlation_table, text)
+    if isinstance(theirs, str):
+        assert ours == theirs
+    else:
+        assert np.array_equal(ours.probs, theirs.probs)
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios, data=st.data(),
+       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle"]))
+def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
+    rng = np.random.default_rng(seed)
+    text = cli.format_counts_file(label_counts(rng, sc))
+    header, *records = text.split("\n\n")
+    records = [record.splitlines() for record in records]
+    record = records[rng.integers(len(records))]
+    if edit == "setting":
+        record[0] = f"sequence: {random_label(data, sc)}"
+    elif edit == "outcome":
+        cell = 3 + rng.integers(len(record) - 3)
+        record[cell] = f"{random_label(data, sc)} {record[cell].split()[1]}"
+    elif edit == "duplicate":
+        record[0] = records[rng.integers(len(records))][0]
+    elif edit == "missing":
+        records.remove(record)
+    else:
+        rng.shuffle(records)
+    text = "\n\n".join([header] + ["\n".join(record) for record in records]) + "\n"
+    ours = parsed(cli.parse_counts_file, text)
+    theirs = parsed(oracles.parse_counts_file, text)
+    if isinstance(theirs, str):
+        assert ours == theirs
+    else:
+        assert np.array_equal(ours[0].counts, theirs[0].counts)
+        assert np.array_equal(ours[0].discarded, theirs[0].discarded)

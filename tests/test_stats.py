@@ -1,6 +1,7 @@
 """Tests for frequencies, Hoeffding intervals, qutrit fractions, the AoT
 likelihood-ratio test, and certification."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -300,6 +301,22 @@ class TestAotLrTest:
 
         assert peak(20_000) <= 1.5 * peak(2_000)
 
+    def test_montecarlo_counts_relabelled_copies_as_extreme(self, monkeypatch):
+        # Flipping setting or outcome labels along history axes leaves the
+        # statistic unchanged mathematically, but sums its terms in another
+        # order: on these T counts some copies land about 3e-10 below the
+        # observed statistic, beyond an absolute tolerance of 1e-12.
+        counts = sample_counts(noisy_table("T"), 100_000, rng=18)
+        sc = counts.scenario
+        history = sc.to_history(counts.counts)
+        copies = iter([sc.from_history(np.flip(history, axes))
+                       for r in range(1, 2 * sc.length + 1)
+                       for axes in itertools.combinations(range(2 * sc.length), r)])
+        monkeypatch.setattr(stats, "_draw_counts",
+                            lambda rng, probs, reps, n: np.array([next(copies) for _ in range(n)]))
+        mc = aot_lr_test_montecarlo(counts, replications=2 ** (2 * sc.length) - 1, seed=0)
+        assert mc.p_value == 1.0
+
 
 class TestCertify:
     def test_first_witness_summary(self):
@@ -363,6 +380,28 @@ class TestCertify:
         report = certify(get_witness("B1"), with_discards)
         assert report.total_discarded == 40
         assert report.discard_rate == pytest.approx(40 / 4040)
+
+    def test_discarded_shots_count_as_failures(self):
+        # B3 at 3.24 from 10,000 recorded shots per sequence clears the
+        # threshold 3.1863. With 200 more shots per sequence discarded (a 2%
+        # rate), all scored as failures, the value is 3.1765 and the lower
+        # end falls below the threshold.
+        w = get_witness("B3")
+        counts = np.zeros((4, 4), dtype=np.int64)
+        for settings, outcomes, _ in w.terms:
+            i = encode_sequence(settings, 2)
+            counts[i, encode_sequence(outcomes, 2)] = 8_100
+            counts[i, 3 - encode_sequence(outcomes, 2)] = 1_900
+        clean = certify(w, CountsTable(w.scenario, counts))
+        assert clean.certified
+        attack = certify(w, CountsTable(w.scenario, counts, discarded=np.full(4, 200)))
+        # The reported numbers ignore the discarded shots; the verdict does not.
+        assert (attack.value, attack.halfwidth, attack.fraction, attack.violation_ratio) == (
+            clean.value, clean.halfwidth, clean.fraction, clean.violation_ratio)
+        assert attack.value - attack.halfwidth > w.threshold
+        assert not attack.certified
+        # A few discards leave the verdict standing.
+        assert certify(w, CountsTable(w.scenario, counts, discarded=np.full(4, 10))).certified
 
     def test_scenario_mismatch(self):
         with pytest.raises(ValueError, match="do not match"):
