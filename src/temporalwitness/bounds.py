@@ -8,9 +8,12 @@ and all history-dependent post-measurement states, by propagating
 max-eigenvalue value functions backwards through the measurement tree.
 Derivative-free outer optimizers then search the effect parameters: an
 exhaustive grid, then Nelder-Mead from the best grid cells and from seeded
-random starts. The Nelder-Mead restarts run in lockstep, taking scipy's
-bounded steps exactly, and each round evaluates the pending points of every
-restart in one batched objective call.
+random starts. The Nelder-Mead restarts run in lockstep on arrays: the live
+runs are the rows of one simplex array, and each iteration makes one
+speculative objective call on the reflection, expansion and both
+contraction points of every run. Each run keeps the values scipy's bounded
+Nelder-Mead would have computed and so takes its steps exactly; only
+shrinks need a second call.
 
 The ``nested_generic`` value is a multistart optimum: a lower estimate of
 the qubit supremum of the witness, not a certified bound.
@@ -18,7 +21,9 @@ the qubit supremum of the witness, not a certified bound.
 Every 2x2 operator that appears is a real combination of the identity and
 Pauli matrices, so operators are carried as coefficient 4-vectors
 ``(w, v1, v2, v3)`` with largest eigenvalue ``w + |v|``; this keeps the
-objective cheap enough for exhaustive grids.
+objective cheap enough for exhaustive grids. The effects are laid out batch
+last, ``(m d, 4, points)``, so each level of the nested bound is one product
+and one sum over the ``(x, a)`` axis, which numpy adds in index order.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from .simulator import Witness
 # Seed for the randomized restarts of the generic optimizer; fixed so that
 # reported traces are reproducible.
 DEFAULT_SEED = 20240601
-# Grid points per batch of the generic optimizer's exhaustive grid.
-GRID_CHUNK = 10_000
+# Cells of the level products per batch of the generic optimizer's
+# exhaustive grid.
+GRID_CHUNK_CELLS = 1 << 19
 
 
 def __getattr__(name: str):
@@ -117,34 +123,22 @@ def _tee_closed_form_array(p, q, cg):
 # Nested max-eigenvalue bound for fixed effects
 # ---------------------------------------------------------------------------
 
-def _effect_four_vector(effect: qcore.Effect) -> np.ndarray:
-    """Coefficients ``(w, v)`` of an effect in the identity/Pauli basis."""
-    sig = qcore.pauli_matrices()
-    w = float(np.trace(effect.mat).real) / 2.0
-    v = [float(np.trace(s @ effect.mat).real) / 2.0 for s in sig]
-    return np.array([w, *v])
-
-
 def _nested_bound(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Backward loop over the levels of the measurement tree.
 
     ``coeffs`` is a witness's coefficient history tensor and
-    ``ops[..., x, a, :]`` the 4-vector of effect ``a|x``, with leading batch
-    axes. Each level contracts the last ``(x, a)`` pair of the values with
-    the effects; the value of a history is the largest eigenvalue of that
-    sum, which for ``w 1 + v.sigma`` is ``w + |v|``.
+    ``ops[x d + a, :, ...]`` the 4-vector of effect ``a|x``, with the batch
+    axes last. Each level multiplies the last ``(x, a)`` pair of the values
+    into the effects and sums it out in index order; the value of a history
+    is the largest eigenvalue of that sum, which for ``w 1 + v.sigma`` is
+    ``w + |v|``.
     """
-    batch = ops.shape[:-3]
-    m, d = ops.shape[-3:-1]
-    values = coeffs
-    for level in range(coeffs.ndim // 2, 0, -1):
-        effects = ops.reshape(batch + (1,) * (2 * level - 2) + ops.shape[-3:])
-        op = 0.0
-        for x in range(m):
-            for a in range(d):
-                op = op + values[..., x, a, None] * effects[..., x, a, :]
-        values = op[..., 0] + np.sqrt(op[..., 1] ** 2 + op[..., 2] ** 2 + op[..., 3] ** 2)
-    return values
+    md = ops.shape[0]
+    values = coeffs.reshape((-1,) + (1,) * (ops.ndim - 2))
+    for _ in range(coeffs.ndim // 2):
+        op = np.add.reduce(values.reshape((-1, md, 1) + values.shape[1:]) * ops, axis=1)
+        values = op[:, 0] + np.sqrt(np.add.reduce(op[:, 1:] ** 2, axis=1))
+    return values[0]
 
 
 def _check_two_setting_binary(witness: Witness) -> None:
@@ -173,40 +167,27 @@ def nested_generic_bound(
     _check_two_setting_binary(witness)
     if not -1.0 - 1e-12 <= cos_gamma <= 1.0 + 1e-12:
         raise ValueError(f"cos_gamma={cos_gamma} outside [-1, 1]")
+    qcore.check_bloch_parameters(a0, b0)
+    qcore.check_bloch_parameters(a1, b1)
     cg = min(1.0, max(-1.0, cos_gamma))
-    c = np.array([1.0, 0.0, 0.0])
-    d = np.array([cg, math.sqrt(max(0.0, 1.0 - cg * cg)), 0.0])
-    plus0 = qcore.bloch_effect(a0, b0, c)
-    plus1 = qcore.bloch_effect(a1, b1, d)
-    ops = np.stack(
-        [
-            np.stack([_effect_four_vector(plus0), _effect_four_vector(qcore.complement(plus0))]),
-            np.stack([_effect_four_vector(plus1), _effect_four_vector(qcore.complement(plus1))]),
-        ]
-    )
-    return float(_nested_bound(witness.coefficients, ops))
+    return float(_nested_bound(witness.coefficients, _effect_ops(a0, b0, a1, b1, cg)))
+
+
+def _effect_ops(a0, b0, a1, b1, cg) -> np.ndarray:
+    """The 4-vectors of ``E(+|0)``, ``E(-|0)``, ``E(+|1)``, ``E(-|1)`` as the
+    rows of an ``(m d, 4, ...)`` array, batch axes last."""
+    a0, b0, a1, b1, cg = np.broadcast_arrays(a0, b0, a1, b1, cg)
+    x0 = a0 * b0
+    x1, y1 = a1 * b1 * cg, a1 * b1 * _clamped_sqrt(1.0 - cg * cg)
+    zero = np.zeros(a0.shape)
+    return np.array([[a0, x0, zero, zero], [1.0 - a0, -x0, zero, zero],
+                     [a1, x1, y1, zero], [1.0 - a1, -x1, -y1, zero]])
 
 
 def _ops_from_parameters(s0, b0, s1, b1, cg) -> np.ndarray:
     """Effect 4-vectors from box coordinates; ``s = a (1 + b)`` rescales the
     coupled domain ``a in [0, 1/(1+b)]`` onto the unit box."""
-    s0, b0, s1, b1, cg = np.broadcast_arrays(s0, b0, s1, b1, cg)
-    a0 = s0 / (1.0 + b0)
-    a1 = s1 / (1.0 + b1)
-    sg = _clamped_sqrt(1.0 - cg * cg)
-    batch = np.shape(s0)
-    ops = np.zeros(batch + (2, 2, 4))
-    ops[..., 0, 0, 0] = a0
-    ops[..., 0, 0, 1] = a0 * b0
-    ops[..., 0, 1, 0] = 1.0 - a0
-    ops[..., 0, 1, 1] = -a0 * b0
-    ops[..., 1, 0, 0] = a1
-    ops[..., 1, 0, 1] = a1 * b1 * cg
-    ops[..., 1, 0, 2] = a1 * b1 * sg
-    ops[..., 1, 1, 0] = 1.0 - a1
-    ops[..., 1, 1, 1] = -a1 * b1 * cg
-    ops[..., 1, 1, 2] = -a1 * b1 * sg
-    return ops
+    return _effect_ops(s0 / (1.0 + b0), b0, s1 / (1.0 + b1), b1, cg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,88 +199,12 @@ def _ops_from_parameters(s0, b0, s1, b1, cg) -> np.ndarray:
 RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 NONZDELT, ZDELT = 0.05, 0.00025
 XATOL, FATOL = 1e-9, 1e-12
-
-
-def _simplex_step(sim, fsim, lower, upper, left):
-    """One iteration of scipy's bounded Nelder-Mead on the sorted simplex,
-    in place. Yields the points it evaluates and receives their values; it
-    stops where scipy's call counter would raise, after ``left`` calls, and
-    returns the number of calls made."""
-    n = sim.shape[1]
-    xbar = np.add.reduce(sim[:-1], 0) / n
-    xr = np.clip((1 + RHO) * xbar - RHO * sim[-1], lower, upper)
-    (fxr,) = yield xr[None]
-    if fxr < fsim[0]:
-        if left == 1:
-            return 1
-        xe = np.clip((1 + RHO * CHI) * xbar - RHO * CHI * sim[-1], lower, upper)
-        (fxe,) = yield xe[None]
-        if fxe < fxr:
-            sim[-1], fsim[-1] = xe, fxe
-        else:
-            sim[-1], fsim[-1] = xr, fxr
-        return 2
-    if fxr < fsim[-2]:
-        sim[-1], fsim[-1] = xr, fxr
-        return 1
-    if left == 1:
-        return 1
-    if fxr < fsim[-1]:
-        xc = np.clip((1 + PSI * RHO) * xbar - PSI * RHO * sim[-1], lower, upper)
-        (fxc,) = yield xc[None]
-        if fxc <= fxr:
-            sim[-1], fsim[-1] = xc, fxc
-            return 2
-    else:
-        xcc = np.clip((1 - PSI) * xbar + PSI * sim[-1], lower, upper)
-        (fxcc,) = yield xcc[None]
-        if fxcc < fsim[-1]:
-            sim[-1], fsim[-1] = xcc, fxcc
-            return 2
-    # Shrink towards the best vertex. scipy moves each vertex before its
-    # call, so the vertex whose call would exceed the budget still moves.
-    shrunk = np.clip(sim[0] + SIGMA * (sim[1:] - sim[0]), lower, upper)
-    calls = min(n, left - 2)
-    sim[1 : calls + 2] = shrunk[: calls + 1]
-    if calls:
-        fsim[1 : calls + 1] = yield shrunk[:calls]
-    return 2 + calls
-
-
-def _sort_simplex(sim, fsim):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
-def _nelder_mead(x0, lower, upper, budget):
-    """scipy's bounded Nelder-Mead minimization (``adaptive=False``,
-    ``xatol=XATOL``, ``fatol=FATOL``, ``maxfev=budget >= 1``) as a
-    generator: it yields ``(k, n)`` arrays of points, receives their ``k``
-    values and returns ``(minimum, point, evaluations)``."""
-    n = len(x0)
-    x0 = np.clip(x0, lower, upper)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + NONZDELT) * y[k] if y[k] != 0 else ZDELT
-        sim[k + 1] = y
-    # Vertices pushed past the upper bound are reflected into the box.
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(n + 1, np.inf)
-    nfev = min(n + 1, budget)
-    fsim[:nfev] = yield sim[:nfev]
-    # scipy sorts twice here; argsort need not keep ties in place.
-    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
-    while nfev < budget:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL
-        ):
-            break
-        nfev += yield from _simplex_step(sim, fsim, lower, upper, budget - nfev)
-        sim, fsim = _sort_simplex(sim, fsim)
-    return np.min(fsim), sim[0], nfev
+# The reflection, expansion, outside and inside contraction points are
+# ``c xbar - c' worst`` with scipy's coefficients ``(c, c')``, one row each;
+# the inside contraction's ``+ PSI worst`` is ``- (-PSI) worst``, the same
+# rounding.
+TRIAL_STEPS = np.array([[1 + RHO, RHO], [1 + RHO * CHI, RHO * CHI],
+                        [1 + PSI * RHO, PSI * RHO], [1 - PSI, -PSI]])[:, :, None]
 
 
 def _lockstep_nelder_mead(
@@ -312,9 +217,13 @@ def _lockstep_nelder_mead(
     non-degenerate axes of ``box``; returns ``(value, point, evaluations)``
     per start.
 
-    Each run takes scipy's steps exactly; every round gathers the pending
-    points of all live runs into one call of ``objective_batch``, which
-    maps coordinate arrays to values elementwise.
+    Each run takes the steps of scipy's bounded minimization exactly
+    (``adaptive=False``, ``xatol=XATOL``, ``fatol=FATOL``,
+    ``maxfev=budget >= 1``). The live runs are rows of one simplex array;
+    each iteration evaluates the reflection, expansion and both contraction
+    points of every row in one call of ``objective_batch``, which maps
+    coordinate arrays to values elementwise, keeps the values scipy would
+    have computed and counts only those calls. Shrinks take a second call.
     """
     starts = np.array(starts, dtype=float)
     free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
@@ -323,25 +232,83 @@ def _lockstep_nelder_mead(
         return [(float(v), start, 1) for v, start in zip(values, starts)]
     lower = np.array([box[i][0] for i in free], dtype=float)
     upper = np.array([box[i][1] for i in free], dtype=float)
-    runs = [_nelder_mead(start[free], lower, upper, budget) for start in starts]
-    pending = {k: run.send(None) for k, run in enumerate(runs)}
-    results: list = [None] * len(runs)
-    while pending:
-        sizes = [len(points) for points in pending.values()]
-        full = starts[np.repeat(list(pending), sizes)]
-        full[:, free] = np.concatenate(list(pending.values()))
-        values = -objective_batch(full.T)
-        offsets = np.cumsum([0] + sizes)
-        for k, lo, hi in zip(list(pending), offsets, offsets[1:]):
-            try:
-                pending[k] = runs[k].send(values[lo:hi])
-            except StopIteration as stop:
-                fmin, x, nfev = stop.value
-                point = starts[k].copy()
-                point[free] = x
-                results[k] = (float(-fmin), point, nfev)
-                del pending[k]
-    return results
+    n = len(free)
+
+    def minus_objective(owners, points):
+        full = starts[owners]
+        full[:, free] = points
+        return -objective_batch(full.T)
+
+    def sort(sim, fsim):
+        order = np.argsort(fsim, axis=1)
+        by_run = np.arange(len(order))[:, None]
+        return sim[by_run, order], fsim[by_run, order]
+
+    x0 = np.clip(starts[:, free], lower, upper)
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    axis = np.arange(n)
+    sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
+    # Vertices pushed past the upper bound are reflected into the box.
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    rows = np.arange(len(starts))
+    first = min(n + 1, budget)
+    fsim = np.full((len(rows), n + 1), np.inf)
+    fsim[:, :first] = minus_objective(
+        np.repeat(rows, first), sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
+    nfev = np.full(len(rows), first)
+    # scipy sorts twice here; argsort need not keep ties in place.
+    sim, fsim = sort(*sort(sim, fsim))
+    results: list = [None] * len(rows)
+    while True:
+        done = (nfev >= budget) | (
+            (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= XATOL)
+            & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= FATOL)
+        )
+        if done.any():
+            for k in np.flatnonzero(done):
+                point = starts[rows[k]].copy()
+                point[free] = sim[k, 0]
+                results[rows[k]] = (float(-np.min(fsim[k])), point, int(nfev[k]))
+            if done.all():
+                return results
+            rows, sim, fsim, nfev = rows[~done], sim[~done], fsim[~done], nfev[~done]
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        trial = TRIAL_STEPS[:, 0] * xbar[:, None] - TRIAL_STEPS[:, 1] * sim[:, -1:]
+        trial = np.clip(trial, lower, upper)
+        ftrial = minus_objective(np.repeat(rows, 4), trial.reshape(-1, n)).reshape(-1, 4)
+        fxr, fxe, fxc, fxcc = ftrial.T
+        # scipy's branches. With one call left its counter raises before an
+        # expansion or contraction call, so only an accepted reflection moves.
+        second = nfev < budget - 1
+        expand = second & (fxr < fsim[:, 0])
+        reflect = (fxr >= fsim[:, 0]) & (fxr < fsim[:, -2])
+        contract = second & ~expand & ~reflect
+        outside = fxr < fsim[:, -1]
+        to_e = expand & (fxe < fxr)
+        to_c = contract & outside & (fxc <= fxr)
+        to_cc = contract & ~outside & (fxcc < fsim[:, -1])
+        moved = expand | reflect | to_c | to_cc
+        pick = to_e + 2 * to_c + 3 * to_cc
+        sim[moved, -1] = trial[moved, pick[moved]]
+        fsim[moved, -1] = ftrial[moved, pick[moved]]
+        nfev += np.where(expand | contract, 2, 1)
+        shrink = contract & ~moved
+        if shrink.any():
+            # Shrink towards the best vertex. scipy moves each vertex before
+            # its call, so the vertex whose call would exceed the budget
+            # still moves.
+            calls = np.minimum(n, budget - nfev[shrink])
+            part, fpart = sim[shrink], fsim[shrink]
+            shrunk = np.clip(part[:, :1] + SIGMA * (part[:, 1:] - part[:, :1]), lower, upper)
+            evaluate = axis < calls[:, None]
+            if evaluate.any():
+                fpart[:, 1:][evaluate] = minus_objective(
+                    np.repeat(rows[shrink], calls), shrunk[evaluate])
+            move = axis <= calls[:, None]
+            part[:, 1:][move] = shrunk[move]
+            sim[shrink], fsim[shrink], nfev[shrink] = part, fpart, nfev[shrink] + calls
+        sim, fsim = sort(sim, fsim)
 
 
 def _check_refinement_budget(budget: int) -> None:
@@ -427,15 +394,22 @@ def optimize_qubit_bound(
         return _nested_bound(coeffs, _ops_from_parameters(*z))
 
     axes = _grid_axes(box, grid_resolution)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
-    # Chunks bound the memory of the level tensors on fine grids.
+    shape = tuple(map(len, axes))
+
+    def grid_points(index):
+        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))]
+
+    # Chunks bound the memory of the level products, which hold 4 cells per
+    # entry of the history tensor per point.
+    size = math.prod(shape)
+    chunk = max(1, GRID_CHUNK_CELLS // (4 * coeffs.size))
     flat = np.concatenate([
-        objective_batch(chunk.T)
-        for chunk in np.split(grid, range(GRID_CHUNK, len(grid), GRID_CHUNK))
+        objective_batch(grid_points(np.arange(lo, min(lo + chunk, size))))
+        for lo in range(0, size, chunk)
     ])
     evaluations = flat.size
     order = np.argsort(flat)[::-1][:10]
-    starts = [grid[k] for k in order]
+    starts = list(np.stack(grid_points(order), axis=1))
 
     rng = np.random.default_rng(seed)
     for _ in range(restarts):

@@ -161,6 +161,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     length = args.length or (witness.scenario.length if witness else None)
     if length is None:
         raise ValueError("--length is required when no witness sets it")
+    if witness is not None and length != witness.scenario.length:
+        raise ValueError(
+            f"--length {length} does not match witness {witness.id}, "
+            f"whose length is {witness.scenario.length}"
+        )
     table = simulator.sequence_probabilities(protocol, length)
     if args.noise is not None:
         noise = simulator.ReadoutNoise(*args.noise)

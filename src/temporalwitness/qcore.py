@@ -318,6 +318,15 @@ def state_to_bloch(state: DensityMatrix) -> np.ndarray:
     return np.array([np.trace(s @ state.mat).real for s in sig])
 
 
+def check_bloch_parameters(a: float, b: float) -> None:
+    """Raise ``ValueError`` unless ``b in [0, 1]`` and ``a in [0, 1/(1+b)]``,
+    the domain of :func:`bloch_effect`."""
+    if not -PSD_TOL <= b <= 1.0 + PSD_TOL:
+        raise ValueError(f"b={b} outside [0, 1]")
+    if not -PSD_TOL <= a <= 1.0 / (1.0 + min(b, 1.0)) + PSD_TOL:
+        raise ValueError(f"a={a} outside [0, 1/(1+b)]")
+
+
 def bloch_effect(a: float, b: float, n: np.ndarray | Sequence[float]) -> Effect:
     """Qubit effect ``a (1 + b n . sigma)`` with ``n`` a unit vector.
 
@@ -329,9 +338,6 @@ def bloch_effect(a: float, b: float, n: np.ndarray | Sequence[float]) -> Effect:
         raise ValueError("axis must have 3 components")
     if abs(float(np.linalg.norm(vec)) - 1.0) > PSD_TOL:
         raise ValueError("axis must be a unit vector")
-    if not -PSD_TOL <= b <= 1.0 + PSD_TOL:
-        raise ValueError(f"b={b} outside [0, 1]")
-    if not -PSD_TOL <= a <= 1.0 / (1.0 + min(b, 1.0)) + PSD_TOL:
-        raise ValueError(f"a={a} outside [0, 1/(1+b)]")
+    check_bloch_parameters(a, b)
     mat = a * (identity(2) + b * np.einsum("i,ijk->jk", vec, pauli_matrices()))
     return Effect(mat)

@@ -138,7 +138,17 @@ def parse_outcome_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
 
 def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
     """The label of every setting sequence and of every outcome sequence,
-    in index order (first step most significant)."""
+    in index order (first step most significant).
+
+    A label writes one digit per step, so a scenario of more than ten
+    settings, or of more than ten outcomes, has no labels: ``(1, 0, 10)``
+    and ``(10, 1, 0)`` would both read ``1010``.
+    """
+    if scenario.settings > 10 or scenario.outcomes > 10:
+        raise ValueError(
+            f"labels write one digit per step, so tables and counts files allow at most "
+            f"10 settings and 10 outcomes, not {scenario.settings} and {scenario.outcomes}"
+        )
     settings = itertools.product(range(scenario.settings), repeat=scenario.length)
     outcomes = itertools.product(range(scenario.outcomes), repeat=scenario.length)
     return ([format_setting_sequence(seq) for seq in settings],
@@ -147,11 +157,11 @@ def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
 
 def sequence_indexers(scenario: Scenario) -> tuple[Callable[[str], int], Callable[[str], int]]:
     """Maps from a setting label and from an outcome label to its index. The
-    labels of :func:`sequence_labels` with one character per step are looked
-    up. Other text, such as the ambiguous labels of eleven or more settings
-    or outcomes, goes through ``parse_*_sequence``, which raises on bad text."""
+    labels of :func:`sequence_labels` are looked up, so the scenario obeys
+    its limit of ten settings and ten outcomes. Other text goes through
+    ``parse_*_sequence``, which raises on bad text."""
     def indexer(labels: list[str], parse: Callable, base: int) -> Callable[[str], int]:
-        known = {label: i for i, label in enumerate(labels) if len(label) == scenario.length}
+        known = {label: i for i, label in enumerate(labels)}
         return lambda text: known[text] if text in known else encode_sequence(
             parse(text, scenario), base)
 

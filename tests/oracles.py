@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
-from temporalwitness.qcore import apply_map
+from temporalwitness.qcore import apply_map, bloch_effect, complement, pauli_matrices
 from temporalwitness.simulator import (
     CorrelationTable,
     Scenario,
@@ -182,6 +182,26 @@ def nested_bound(witness, ops):
         return op[..., 0] + np.sqrt(op[..., 1] ** 2 + op[..., 2] ** 2 + op[..., 3] ** 2)
 
     return value(())
+
+
+def effect_four_vector(effect):
+    """Coefficients ``(w, v)`` of an effect in the identity/Pauli basis."""
+    w = float(np.trace(effect.mat).real) / 2.0
+    v = [float(np.trace(s @ effect.mat).real) / 2.0 for s in pauli_matrices()]
+    return np.array([w, *v])
+
+
+def effect_ops(a0, b0, a1, b1, cos_gamma):
+    """``ops[x, a, :]`` of ``E(+|0) = a0 (1 + b0 c.sigma)``,
+    ``E(+|1) = a1 (1 + b1 d.sigma)`` and their complements, traced out of
+    2x2 matrices; ``c`` is the first axis and ``d`` lies in the 1-2 plane."""
+    c = np.array([1.0, 0.0, 0.0])
+    d = np.array([cos_gamma, math.sqrt(max(0.0, 1.0 - cos_gamma * cos_gamma)), 0.0])
+    ops = []
+    for a, b, axis in ((a0, b0, c), (a1, b1, d)):
+        plus = bloch_effect(a, b, axis)
+        ops.append([effect_four_vector(plus), effect_four_vector(complement(plus))])
+    return np.array(ops)
 
 
 def refine(objective, start, box, budget):

@@ -1,5 +1,7 @@
 """Tests for the closed-form and nested qubit bounds and their optimizers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,25 @@ class TestOptimizeQubitBound:
     def test_rejects_invalid_search(self, kwargs):
         with pytest.raises(ValueError, match="refinement budget|restarts"):
             optimize_qubit_bound(get_witness("B1"), **kwargs)
+
+    def test_grid_memory_does_not_grow_with_the_grid(self):
+        # The grid is evaluated in chunks of GRID_CHUNK_CELLS product cells,
+        # so a 10^5-point grid peaks about where a two-chunk grid does.
+        w = get_witness("T")
+        chunk = bounds.GRID_CHUNK_CELLS // (4 * w.coefficients.size)
+        two_chunks = round((2 * chunk) ** (1 / 5))
+        assert chunk < two_chunks**5 < 10**5
+
+        def traced_peak(resolution):
+            tracemalloc.start()
+            try:
+                optimize_qubit_bound(w, restarts=0, grid_resolution=resolution,
+                                     refinement_budget=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(10) <= 1.5 * traced_peak(two_chunks)
 
     def test_deterministic_given_seed(self):
         w = get_witness("B2")

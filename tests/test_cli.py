@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -55,6 +56,48 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "B7")
         assert code == 2
         assert "unknown witness" in err
+
+    def test_length_other_than_witness_rejected_before_simulating(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("simulated a table the witness cannot score")
+
+        monkeypatch.setattr(simulator, "sequence_probabilities", unreachable)
+        code, out, err = run(capsys, "simulate", "T", "--length", "5")
+        assert code == 2
+        assert out == ""
+        assert "--length 5" in err and "length is 3" in err
+
+
+def settings_protocol(tmp_path, settings):
+    """A protocol file with ``settings`` measurements, the B1 rows repeated."""
+    spec = protocols.OPTIMAL_PULSES["B1"]
+    rows = (spec.rows * settings)[:settings]
+    path = tmp_path / f"settings{settings}.protocol"
+    path.write_text(protocols.format_protocol_spec(dataclasses.replace(spec, rows=rows)))
+    return path, dataclasses.replace(spec, rows=rows)
+
+
+class TestLabelLimit:
+    def test_ten_settings_round_trip(self, capsys, tmp_path):
+        path, spec = settings_protocol(tmp_path, 10)
+        code, out, _ = run(capsys, "simulate", "--protocol", str(path), "--length", "2")
+        assert code == 0
+        table = simulator.parse_correlation_table(out)
+        assert table.scenario == Scenario(2, 10, 2)
+        expected = simulator.sequence_probabilities(spec.build(), 2).probs
+        assert np.array_equal(table.probs, [[float(f"{p:.12g}") for p in row] for row in expected])
+        counts = stats.sample_counts(table, 10, rng=3)
+        parsed, _ = parse_counts_file(format_counts_file(counts))
+        assert np.array_equal(parsed.counts, counts.counts)
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_eleven_settings_rejected(self, capsys, tmp_path, fmt):
+        path, _ = settings_protocol(tmp_path, 11)
+        code, out, err = run(capsys, "simulate", "--protocol", str(path), "--length", "1",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "one digit per step" in err and "10 settings" in err
 
 
 class TestMain:

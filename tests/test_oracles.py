@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import chdtrc, ndtri
 
 import oracles
@@ -209,9 +210,12 @@ def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
     lo = np.array([0.0, 0.0, 0.0, 0.0, -1.0]).reshape((5,) + (1,) * len(batch))
     z = lo + (1.0 - lo) * rng.random((5,) + batch)
     ops = bounds._ops_from_parameters(*z)
+    # The oracle takes the effects batch first, as ``ops[..., x, a, :]``.
+    batch_first = np.moveaxis(ops, (0, 1), (-2, -1)).reshape(batch + (2, 2, 4))
     # The same products and sums in the same order: equal to the last bit.
     assert np.array_equal(
-        bounds._nested_bound(witness.coefficients, ops), oracles.nested_bound(witness, ops)
+        bounds._nested_bound(witness.coefficients, ops),
+        oracles.nested_bound(witness, batch_first),
     )
 
 
@@ -239,6 +243,20 @@ def test_chi2_sf_and_sigma_edges():
     sigma = stats._sigma_equivalent(1.0)
     assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
     assert stats._sigma_equivalent(0.0) == math.inf
+
+
+@ORACLE
+@given(seed=seeds, witness_id=st.sampled_from(["B1", "B2", "B3", "B4", "T"]))
+def test_nested_generic_bound_matches_matrix_effects(seed, witness_id):
+    rng = np.random.default_rng(seed)
+    witness = simulator.get_witness(witness_id)
+    b0, b1 = rng.choice([0.0, 1.0, rng.random()], 2)
+    a0, a1 = (rng.choice([1.0, rng.random()]) / (1.0 + b) for b in (b0, b1))
+    params = (a0, b0, a1, b1, rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]))
+    ops = oracles.effect_ops(*params)
+    assert np.abs(bounds._effect_ops(*params).reshape(2, 2, 4) - ops).max() <= 1e-15
+    expected = oracles.nested_bound(witness, ops)
+    assert bounds.nested_generic_bound(witness, *params) == pytest.approx(expected, rel=1e-15)
 
 
 QUBIT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
@@ -300,6 +318,38 @@ def test_lockstep_nelder_mead_cut_at_every_budget(objective, fraction):
     start = np.array([lo + fraction * (hi - lo) for lo, hi in box])
     for budget in range(1, 81):
         assert_lockstep_matches_scipy(objective_batch, [start, np.array(box)[:, 1]], box, budget)
+
+
+def scipy_iteration_calls(objective_batch, start, box, budget):
+    """Objective calls per iteration of scipy's search from ``start``,
+    counted between its per-iteration callbacks, after the initial simplex."""
+    calls = []
+
+    def neg(z):
+        calls.append(None)
+        return -float(objective_batch(tuple(z)))
+
+    ends = []
+    minimize(neg, start, method="Nelder-Mead", bounds=box,
+             callback=lambda xk: ends.append(len(calls)),
+             options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": budget})
+    return np.diff([min(len(box) + 1, budget), *ends])
+
+
+@pytest.mark.parametrize("objective,num_starts,budget",
+                         [("B1", 12, 150), ("T", 20, 150), ("closed", 8, 185)])
+def test_lockstep_nelder_mead_runs_of_different_lengths(objective, num_starts, budget):
+    # Runs leave the lockstep at different iterations: some converge, the
+    # others are cut by the budget, at least one inside a shrink.
+    box, objective_batch = refinement_problem(objective)
+    lo, hi = np.array(box).T
+    starts = lo + (hi - lo) * np.random.default_rng(0).random((num_starts, len(box)))
+    assert_lockstep_matches_scipy(objective_batch, starts, box, budget)
+    per_run = [scipy_iteration_calls(objective_batch, s, box, budget) for s in starts]
+    lengths = {len(calls) for calls in per_run}
+    assert len(lengths) > 2
+    assert any(len(box) + 1 + calls.sum() < budget for calls in per_run)
+    assert any(2 < calls[-1] < 2 + len(box) for calls in per_run)
 
 
 def test_lockstep_nelder_mead_without_free_axes():

@@ -330,3 +330,13 @@ class TestTableValidationAndSerialization:
         )
         with pytest.raises(ValueError, match="duplicate"):
             parse_correlation_table(text)
+
+    def test_labels_stop_at_ten_settings_and_outcomes(self):
+        x_labels, a_labels = simulator.sequence_labels(Scenario(2, 10, 10))
+        assert x_labels[-1] == a_labels[-1] == "99"
+        for scenario in (Scenario(2, 11, 2), Scenario(2, 2, 11)):
+            with pytest.raises(ValueError, match="one digit per step"):
+                simulator.sequence_labels(scenario)
+        text = "correlation-table v1\nlength: 1\nsettings: 11\noutcomes: 2\n"
+        with pytest.raises(ValueError, match="at most 10 settings"):
+            parse_correlation_table(text)
