@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -129,20 +130,46 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class _JSONText(str):
+    """A machine-report value that is already JSON text."""
+
+
 def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> None:
+    """Print the text lines, or the machine report as one JSON object.
+
+    The keys go in sorted order. Each run of ordinary values is written by
+    one ``json.dumps(..., sort_keys=True)``; a :class:`_JSONText` value is
+    spliced in as written. The result is byte-identical to
+    ``json.dumps(report, sort_keys=True)`` of the report with that text
+    decoded, provided the text holds only finite floats (``repr`` is what
+    ``json`` writes for them) and strings that need no escaping.
+    """
     if args.format == "machine":
         machine = {"tool": "temporalwitness", "version": __version__, **machine}
-        print(json.dumps(machine, sort_keys=True))
+        parts = []
+        runs = itertools.groupby(sorted(machine.items()),
+                                 key=lambda item: isinstance(item[1], _JSONText))
+        for spliced, items in runs:
+            if spliced:
+                parts += [f"{json.dumps(key)}: {value}" for key, value in items]
+            else:
+                parts.append(json.dumps(dict(items), sort_keys=True)[1:-1])
+        print("{" + ", ".join(parts) + "}")
     else:
         for line in text_lines:
             print(line)
 
 
-def _table_rows(table: CorrelationTable) -> list[dict]:
+def _table_rows(table: CorrelationTable) -> _JSONText:
+    """The machine report's rows as JSON text: ``head + repr(p) + tail`` per
+    cell, one head per outcome label and one tail per setting label. Entries
+    are finite and labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
     x_labels, a_labels = sequence_labels(table.scenario)
-    return [{"settings": x_txt, "outcomes": a_txt, "p": p}
-            for x_txt, row in zip(x_labels, table.probs.tolist())
-            for a_txt, p in zip(a_labels, row)]
+    heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
+    tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
+    return _JSONText("[" + ", ".join([head + repr(p) + tail
+                                      for tail, row in zip(tails, table.probs.tolist())
+                                      for head, p in zip(heads, row)]) + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +181,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.protocol is not None:
         spec = protocols.parse_protocol_spec(Path(args.protocol).read_text())
         protocol = spec.build()
+        shape = (protocol.num_settings, len(protocol.outcomes))
+        if witness is not None and shape != (witness.scenario.settings, witness.scenario.outcomes):
+            raise ValueError(
+                f"--protocol {args.protocol} has {shape[0]} settings and {shape[1]} outcomes, "
+                f"but witness {witness.id} has {witness.scenario.settings} settings and "
+                f"{witness.scenario.outcomes} outcomes"
+            )
     else:
         if witness is None:
             raise ValueError("give a witness id or a --protocol file")

@@ -175,8 +175,9 @@ class CorrelationTable:
     """Probabilities ``p(outcome sequence | setting sequence)``.
 
     ``probs[i, j]`` is the probability of the outcome sequence encoded by
-    ``j`` given the setting sequence encoded by ``i``. Rows are normalized;
-    entries within tolerance of [0, 1] are clamped onto it.
+    ``j`` given the setting sequence encoded by ``i``. Entries are finite
+    and rows are normalized; entries within tolerance of [0, 1] are clamped
+    onto it.
     """
 
     scenario: Scenario
@@ -187,6 +188,8 @@ class CorrelationTable:
         arr = np.asarray(self.probs, dtype=float)
         if arr.shape != expected:
             raise ValueError(f"probs must have shape {expected}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities must be finite")
         if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
             raise ValueError("probabilities outside [0, 1] beyond tolerance")
         row_sums = arr.sum(axis=1)

@@ -67,6 +67,22 @@ class TestSimulate:
         assert out == ""
         assert "--length 5" in err and "length is 3" in err
 
+    @pytest.mark.parametrize("witness", ["B1", "T"])
+    def test_protocol_other_than_witness_rejected_before_simulating(
+        self, capsys, tmp_path, monkeypatch, witness
+    ):
+        path, _ = settings_protocol(tmp_path, 3)
+
+        def unreachable(*args):
+            raise AssertionError("simulated a table the witness cannot score")
+
+        monkeypatch.setattr(simulator, "sequence_probabilities", unreachable)
+        code, out, err = run(capsys, "simulate", witness, "--protocol", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path.name} has 3 settings and 2 outcomes" in err
+        assert f"witness {witness} has 2 settings and 2 outcomes" in err
+
 
 def settings_protocol(tmp_path, settings):
     """A protocol file with ``settings`` measurements, the B1 rows repeated."""
@@ -360,3 +376,33 @@ class TestAotTestCommand:
         assert code == 2
         assert out == ""
         assert "need at least one replication" in err
+
+
+MACHINE_COMMANDS = [
+    ("simulate", "B1"),
+    ("simulate", "T", "--noise", "0.96", "0.98"),
+    ("simulate", "--protocol", "{protocol}", "--length", "4"),
+    ("simulate", "--protocol", "{protocol}", "--length", "3", "--noise", "0.9", "1.0"),
+    ("bound", "T", "--method", "closed"),
+    ("bound", "B1", "--restarts", "2", "--seed", "3"),
+    ("polytope", "T"),
+    ("polytope", "--scenario", "2", "2", "2"),
+    ("certify", "{counts}"),
+    ("aot-test", "{counts}"),
+    ("aot-test", "{counts}", "--montecarlo", "50", "--seed", "4"),
+]
+
+
+class TestMachineReports:
+    @pytest.mark.parametrize("argv", MACHINE_COMMANDS, ids=" ".join)
+    def test_report_is_canonical_json(self, capsys, tmp_path, argv):
+        # Every report must read as json.dumps(report, sort_keys=True) writes it.
+        protocol = tmp_path / "t.protocol"
+        protocol.write_text(protocols.format_protocol_spec(protocols.OPTIMAL_PULSES["T"]))
+        counts = tmp_path / "counts.txt"
+        run(capsys, "sample", "T", "--shots", "300", "--noise", "0.96", "0.98",
+            "--seed", "5", "--output", str(counts))
+        argv = [arg.format(protocol=protocol, counts=counts) for arg in argv]
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        assert code == 0
+        assert json.dumps(json.loads(out), sort_keys=True) == out.rstrip("\n")

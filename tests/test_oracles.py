@@ -437,13 +437,34 @@ def test_table_writers_match_cell_loops(seed, sc):
     table = label_table(np.random.default_rng(seed), sc)
     text = simulator.format_correlation_table(table)
     assert text == oracles.format_correlation_table(table)
-    rows, expected = cli._table_rows(table), oracles.table_rows(table)
-    assert rows == expected
-    assert json.dumps(rows, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert cli._table_rows(table) == json.dumps(oracles.table_rows(table), sort_keys=True)
     round_trip = simulator.parse_correlation_table(text)
     assert np.array_equal(round_trip.probs, oracles.parse_correlation_table(text).probs)
     assert np.array_equal(round_trip.probs, [[float(f"{p:.12g}") for p in row]
                                              for row in table.probs])
+
+
+# Entries that sum to far below 1 and whose repr is subnormal or has an exponent.
+TINY_ENTRIES = np.array([0.0, 5e-324, 1e-300, 3e-17, 2.5e-08, 1.25e-05])
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios)
+def test_table_rows_text_matches_json_dumps(seed, sc):
+    rng = np.random.default_rng(seed)
+    rows, cols = sc.num_setting_sequences, sc.num_outcome_sequences
+    # Column 0 completes each row; row 0 is exactly (1.0, 0.0, ...).
+    tiny = np.resize(TINY_ENTRIES, (rows - 1) * (cols - 1))
+    rng.shuffle(tiny)
+    probs = np.zeros((rows, cols))
+    probs[1:, 1:] = tiny.reshape(rows - 1, cols - 1)
+    probs[:, 0] = 1.0 - probs.sum(axis=1)
+    table = CorrelationTable(sc, probs[:, rng.permutation(cols)])
+    text = cli._table_rows(table)
+    assert text == json.dumps(oracles.table_rows(table), sort_keys=True)
+    if (rows - 1) * (cols - 1) >= len(TINY_ENTRIES):
+        assert {1.0, *TINY_ENTRIES} <= set(table.probs.flat)
+        assert ' "p": 5e-324, ' in text and ' "p": 1e-300, ' in text
 
 
 @ORACLE

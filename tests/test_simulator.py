@@ -301,6 +301,20 @@ class TestTableValidationAndSerialization:
         with pytest.raises(ValueError, match="outside"):
             CorrelationTable(sc, np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_rejects_non_finite(self, row):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationTable(Scenario(1, 1, 2), np.array([row]))
+
+    @pytest.mark.parametrize("entries", [("nan", "nan"), ("1", "nan"), ("inf", "-inf")])
+    def test_parse_rejects_non_finite(self, entries):
+        text = (
+            "correlation-table v1\nlength: 1\nsettings: 1\noutcomes: 2\n"
+            f"0 + {entries[0]}\n0 - {entries[1]}\n"
+        )
+        with pytest.raises(ValueError, match="finite"):
+            parse_correlation_table(text)
+
     def test_clamps_tiny_negatives(self):
         sc = Scenario(1, 1, 2)
         table = CorrelationTable(sc, np.array([[1.0 + 5e-10, -5e-10]]))
