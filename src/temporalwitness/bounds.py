@@ -295,18 +295,18 @@ def _lockstep_nelder_mead(
         nfev += np.where(expand | contract, 2, 1)
         shrink = contract & ~moved
         if shrink.any():
-            # Shrink towards the best vertex. scipy moves each vertex before
-            # its call, so the vertex whose call would exceed the budget
-            # still moves.
+            # Shrink towards the best vertex, moving only evaluated vertices.
+            # scipy also moves the one whose call would exceed the budget, but
+            # the run then stops with its old value, never below the best one
+            # at index 0, which argsort keeps first: no result reads that move.
             calls = np.minimum(n, budget - nfev[shrink])
             part, fpart = sim[shrink], fsim[shrink]
             shrunk = np.clip(part[:, :1] + SIGMA * (part[:, 1:] - part[:, :1]), lower, upper)
             evaluate = axis < calls[:, None]
             if evaluate.any():
+                part[:, 1:][evaluate] = shrunk[evaluate]
                 fpart[:, 1:][evaluate] = minus_objective(
                     np.repeat(rows[shrink], calls), shrunk[evaluate])
-            move = axis <= calls[:, None]
-            part[:, 1:][move] = shrunk[move]
             sim[shrink], fsim[shrink], nfev[shrink] = part, fpart, nfev[shrink] + calls
         sim, fsim = sort(sim, fsim)
 

@@ -359,7 +359,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_aot_test(args: argparse.Namespace) -> int:
     counts, _witness_id, digest = _load_counts(args)
-    result = stats.aot_lr_test(counts)
+    mc = None if args.montecarlo is None else stats.aot_lr_test_montecarlo(
+        counts, args.montecarlo, args.seed)
+    result = stats.aot_lr_test(counts) if mc is None else mc.asymptotic
     text = [
         f"statistic: {result.statistic:.6f}",
         f"dof: {result.dof}",
@@ -367,8 +369,7 @@ def _cmd_aot_test(args: argparse.Namespace) -> int:
         f"sigma equivalent: {result.sigma_equivalent:.3f}",
     ]
     machine = {"command": "aot-test", "input_sha256": digest, **asdict(result)}
-    if args.montecarlo is not None:
-        mc = stats.aot_lr_test_montecarlo(counts, args.montecarlo, args.seed)
+    if mc is not None:
         text += [
             f"monte-carlo p-value: {mc.p_value:.6g} "
             f"({mc.replications} replications, seed {mc.seed})",

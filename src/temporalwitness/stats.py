@@ -7,10 +7,12 @@ model against unconstrained per-sequence multinomials, with the degrees of
 freedom given by the exact number of independent AoT constraints. Its
 chi-square tail and the normal quantile of the sigma equivalent are computed
 in closed form with the standard library (``math`` and
-``statistics.NormalDist``). Its Monte Carlo calibration draws and scores the
-null-model replications in chunks, one multinomial draw and one batched
-statistic per chunk, with the draw stream of one draw per replication and
-setting sequence.
+``statistics.NormalDist``). Each table's ``k log(k / n)`` terms are summed
+as one dense C-ordered row, where a zero cell adds an exact 0.0, so a table
+scores alike alone or in a batch. The Monte Carlo calibration scores the
+observed table once, then draws and scores the null-model replications in
+chunks, one multinomial draw and one batched statistic per chunk, with the
+draw stream of one draw per replication and setting sequence.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from . import polytope
 from .simulator import (
     CorrelationTable,
+    GuardExceeded,
     Scenario,
     Witness,
     decode_index,
@@ -34,6 +37,9 @@ from .simulator import (
 
 # Table cells per chunk of Monte Carlo replications drawn and scored at once.
 MC_CHUNK_CELLS = 1 << 14
+# Replicated table cells beyond which the Monte Carlo calibration refuses to
+# run: at 0.13-0.2 us per cell drawn and scored (2-core x86 VM), about a minute.
+MC_GUARD_CELLS = 1 << 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,22 +218,16 @@ def null_model_table(counts: CountsTable) -> CorrelationTable:
 
 
 def _log_likelihood(k: np.ndarray, n: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """``sum k log(k / n)`` over the nonzero ``k`` of each table on the
-    leading ``batch`` axes, with ``n`` broadcast.
+    """``sum k log(k / n)`` over the cells of each table on the leading
+    ``batch`` axes, with ``n`` broadcast; a zero ``k`` adds an exact 0.0.
 
-    Each table's nonzero terms are summed as one contiguous row, as for a
-    lone table, so that a table scores alike alone or in a batch: the tables
-    with the same number of nonzero terms are the rows of one matrix.
+    The terms are written to one C-ordered array, so each table's terms form
+    one contiguous row in cell order, summed as for a lone table: a table
+    scores alike alone or in a batch.
     """
-    seen = k > 0
-    values = k[seen] * np.log(k[seen] / np.broadcast_to(n, k.shape)[seen])
-    nonzero = seen.reshape(math.prod(batch), -1).sum(axis=1)
-    starts = np.cumsum(nonzero) - nonzero
-    total = np.zeros(len(nonzero))
-    for size in np.unique(nonzero):
-        rows = nonzero == size
-        total[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
-    return total.reshape(batch)
+    terms = np.divide(k, n, out=np.ones(k.shape), where=k > 0)
+    np.multiply(k, np.log(terms, out=terms), out=terms)
+    return np.add.reduce(terms.reshape(math.prod(batch), -1), axis=1).reshape(batch)
 
 
 def _log_likelihoods(scenario: Scenario, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,19 +257,22 @@ def aot_lr_test(counts: CountsTable) -> AotTestResult:
     sigma equivalent is the two-sided standard-normal quantile of the
     p-value.
     """
+    return _observed_aot_test(counts)[0]
+
+
+def _observed_aot_test(counts: CountsTable) -> tuple[AotTestResult, float]:
+    """:func:`aot_lr_test`, and ``|log_alt| + |log_null|`` of the observed
+    log-likelihoods, which scales the Monte Carlo tie tolerance."""
     if counts.repetitions.min() == 0:
         raise ValueError("every setting sequence needs at least one shot")
     dof = polytope.independent_constraint_count(counts.scenario)
     if dof == 0:
         raise ValueError("scenario has no AoT constraints to test")
-    statistic = float(_aot_statistic(counts.scenario, counts.counts))
+    log_alt, log_null = _log_likelihoods(counts.scenario, counts.counts)
+    statistic = float(np.maximum(0.0, 2.0 * (log_alt - log_null)))
     p_value = _chi2_sf(statistic, dof)
-    return AotTestResult(
-        statistic=statistic,
-        dof=dof,
-        p_value=p_value,
-        sigma_equivalent=_sigma_equivalent(p_value),
-    )
+    result = AotTestResult(statistic, dof, p_value, _sigma_equivalent(p_value))
+    return result, float(abs(log_alt) + abs(log_null))
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -326,17 +329,21 @@ def aot_lr_test_montecarlo(
     extreme as the observed table when its statistic is at most
     ``1e-12 * max(1, |log_alt| + |log_null|)`` below the observed one, where
     ``log_alt`` and ``log_null`` are the observed table's log-likelihoods.
+    More than ``MC_GUARD_CELLS`` replicated table cells raise
+    :class:`GuardExceeded` before any draw.
     """
-    asymptotic = aot_lr_test(counts)
+    asymptotic, size = _observed_aot_test(counts)
     if replications < 1:
         raise ValueError("need at least one replication")
+    if replications * counts.counts.size > MC_GUARD_CELLS:
+        raise GuardExceeded(
+            f"{replications} replications of {counts.counts.size} cells exceed the guard")
     null_probs = null_model_table(counts).probs
     # The statistic is a difference of sums whose rounding error is a few
     # ulp of the log-likelihoods; this tolerance is thousands of ulp, so a
     # replication that ties the observed table mathematically, such as a
     # relabelled copy, counts whatever the order of summation.
-    log_alt, log_null = _log_likelihoods(counts.scenario, counts.counts)
-    cutoff = asymptotic.statistic - 1e-12 * max(1.0, abs(log_alt) + abs(log_null))
+    cutoff = asymptotic.statistic - 1e-12 * max(1.0, size)
     rng = np.random.default_rng(seed)
     n_per_seq = counts.repetitions
     chunk = max(1, MC_CHUNK_CELLS // counts.counts.size)

@@ -365,6 +365,31 @@ class TestAotTestCommand:
         assert code == 0
         assert "monte-carlo p-value" in out
 
+    def test_montecarlo_reports_the_asymptotic_test(self, capsys, tmp_path):
+        counts = stats.sample_counts(simulator.sequence_probabilities(
+            protocols.optimal_protocol("T"), 3), 300, rng=5)
+        assert (counts.counts == 0).any()
+        path = tmp_path / "counts.txt"
+        path.write_text(format_counts_file(counts))
+        reports = [json.loads(run(capsys, "aot-test", str(path), *argv, "--format", "machine")[1])
+                   for argv in ((), ("--montecarlo", "50", "--seed", "4"))]
+        keys = ("statistic", "dof", "p_value", "sigma_equivalent")
+        assert [json.dumps(reports[1][key]) for key in keys] == [
+            json.dumps(reports[0][key]) for key in keys]
+
+    def test_montecarlo_past_the_guard_exits_before_drawing(self, capsys, tmp_path, monkeypatch):
+        counts = stats.sample_counts(
+            simulator.sequence_probabilities(protocols.optimal_protocol("B1"), 2), 100, rng=3
+        )
+        path = tmp_path / "counts.txt"
+        path.write_text(format_counts_file(counts))
+        monkeypatch.setattr(stats, "_draw_counts", lambda *args: pytest.fail("drew counts"))
+        replications = stats.MC_GUARD_CELLS // counts.counts.size + 1
+        code, out, err = run(capsys, "aot-test", str(path), "--montecarlo", str(replications))
+        assert code == 3
+        assert out == ""
+        assert "exceed the guard" in err
+
     @pytest.mark.parametrize("replications", ["0", "-3"])
     def test_montecarlo_without_replications_rejected(self, capsys, tmp_path, replications):
         counts = stats.sample_counts(

@@ -170,10 +170,13 @@ def null_model_counts(rng, sc, shots, sparsity, prefix_gap):
     return stats.CountsTable(sc, raw)
 
 
+null_scenarios = st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 2, 2)])
+
+
 @ORACLE
-@given(seed=seeds, dims=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 2, 2)]),
-       shots=st.integers(1, 60), sparsity=st.floats(0.0, 0.9), prefix_gap=st.booleans(),
-       replications=st.integers(1, 300), chunk=st.integers(1, 64), spare=st.floats(0.0, 1.0))
+@given(seed=seeds, dims=null_scenarios, shots=st.integers(1, 60), sparsity=st.floats(0.0, 0.9),
+       prefix_gap=st.booleans(), replications=st.integers(1, 300), chunk=st.integers(1, 64),
+       spare=st.floats(0.0, 1.0))
 def test_montecarlo_chunks_match_replication_loop(seed, dims, shots, sparsity, prefix_gap,
                                                   replications, chunk, spare):
     sc = Scenario(*dims)
@@ -183,6 +186,26 @@ def test_montecarlo_chunks_match_replication_loop(seed, dims, shots, sparsity, p
     with mock.patch.object(stats, "MC_CHUNK_CELLS", cells):
         result = stats.aot_lr_test_montecarlo(counts, replications, seed)
     assert result.p_value == oracles.aot_montecarlo_p_value(counts, replications, seed)
+
+
+@ORACLE
+@given(seed=seeds, dims=null_scenarios, shots=st.integers(1, 60), sparsity=st.floats(0.0, 0.9),
+       gaps=st.lists(st.booleans(), min_size=1, max_size=6), shape=st.sampled_from([(6,), (2, 3)]))
+def test_table_scores_alike_alone_or_in_a_batch(seed, dims, shots, sparsity, gaps, shape):
+    # The Monte Carlo tie cutoff compares batched replications with the lone
+    # observed table, so both must sum each table's terms in the same order.
+    sc = Scenario(*dims)
+    rng = np.random.default_rng(seed)
+    tables = [null_model_counts(rng, sc, shots, sparsity, gaps[i % len(gaps)]).counts
+              for i in range(6)]
+    stack = np.reshape(tables, shape + tables[0].shape)
+
+    def scores(counts):
+        return np.stack([*stats._log_likelihoods(sc, counts), stats._aot_statistic(sc, counts)])
+
+    batched = scores(stack)
+    for index in np.ndindex(shape):
+        assert batched[(slice(None), *index)].tobytes() == scores(stack[index]).tobytes()
 
 
 @ORACLE

@@ -11,6 +11,7 @@ import pytest
 from temporalwitness import polytope, protocols, simulator, stats
 from temporalwitness.simulator import (
     CorrelationTable,
+    GuardExceeded,
     Scenario,
     Witness,
     decode_index,
@@ -300,6 +301,14 @@ class TestAotLrTest:
                 tracemalloc.stop()
 
         assert peak(20_000) <= 1.5 * peak(2_000)
+
+    def test_montecarlo_guard_counts_replicated_cells(self, monkeypatch):
+        counts = sample_counts(noisy_table("B2"), 100, rng=29)
+        monkeypatch.setattr(stats, "MC_GUARD_CELLS", 10 * counts.counts.size)
+        assert aot_lr_test_montecarlo(counts, replications=10, seed=30).replications == 10
+        monkeypatch.setattr(stats, "_draw_counts", lambda *args: pytest.fail("drew counts"))
+        with pytest.raises(GuardExceeded, match="11 replications of 16 cells exceed the guard"):
+            aot_lr_test_montecarlo(counts, replications=11, seed=30)
 
     def test_montecarlo_counts_relabelled_copies_as_extreme(self, monkeypatch):
         # Flipping setting or outcome labels along history axes leaves the
