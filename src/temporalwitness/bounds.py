@@ -6,14 +6,16 @@ family. ``nested_generic_bound`` computes, for arbitrary fixed two-outcome
 qubit effects, the exact optimum of any witness over all initial states
 and all history-dependent post-measurement states, by propagating
 max-eigenvalue value functions backwards through the measurement tree.
-Derivative-free outer optimizers then search the effect parameters: an
-exhaustive grid, then Nelder-Mead from the best grid cells and from seeded
-random starts. The Nelder-Mead restarts run in lockstep on arrays: the live
-runs are the rows of one simplex array, and each iteration makes one
-speculative objective call on the reflection, expansion and both
-contraction points of every run. Each run keeps the values scipy's bounded
-Nelder-Mead would have computed and so takes its steps exactly; only
-shrinks need a second call.
+Both outer optimizers run one multistart driver: an exhaustive grid in
+chunks, guarded by ``GRID_GUARD_POINTS``, then Nelder-Mead from the best
+grid cells and from seeded random starts. One map, ``_effect_params``,
+turns box coordinates ``(s0, b0, s1, b1, cos_gamma)`` into effects; the
+closed form's extremal family is the ``s = 1`` face. The Nelder-Mead
+restarts run in lockstep on arrays: the live runs are the rows of one
+simplex array, and each iteration makes one speculative objective call on
+the reflection, expansion and both contraction points of every run. Each
+run keeps the values scipy's bounded Nelder-Mead would have computed and
+so takes its steps exactly; only shrinks need a second call.
 
 The ``nested_generic`` value is a multistart optimum: a lower estimate of
 the qubit supremum of the witness, not a certified bound.
@@ -35,14 +37,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qcore
-from .simulator import Witness
+from .simulator import GuardExceeded, Witness
 
 # Seed for the randomized restarts of the generic optimizer; fixed so that
 # reported traces are reproducible.
 DEFAULT_SEED = 20240601
-# Cells of the level products per batch of the generic optimizer's
-# exhaustive grid.
+# Cells of the objective's temporaries per batch of an exhaustive grid.
 GRID_CHUNK_CELLS = 1 << 19
+# Grid points beyond which a search raises GuardExceeded before allocating.
+# At the guard (2-core x86 VM) the closed form's 215^3 grid takes 2.1 s and
+# 190 MB, the generic search's 25^5 grid of T 8.3 s and 260 MB.
+GRID_GUARD_POINTS = 10**7
 
 
 def __getattr__(name: str):
@@ -165,11 +170,9 @@ def nested_generic_bound(
     angle ``gamma``; only the relative angle matters.
     """
     _check_two_setting_binary(witness)
-    if not -1.0 - 1e-12 <= cos_gamma <= 1.0 + 1e-12:
-        raise ValueError(f"cos_gamma={cos_gamma} outside [-1, 1]")
+    cg = qcore.clamp_cos_gamma(cos_gamma)
     qcore.check_bloch_parameters(a0, b0)
     qcore.check_bloch_parameters(a1, b1)
-    cg = min(1.0, max(-1.0, cos_gamma))
     return float(_nested_bound(witness.coefficients, _effect_ops(a0, b0, a1, b1, cg)))
 
 
@@ -184,10 +187,12 @@ def _effect_ops(a0, b0, a1, b1, cg) -> np.ndarray:
                      [a1, x1, y1, zero], [1.0 - a1, -x1, -y1, zero]])
 
 
-def _ops_from_parameters(s0, b0, s1, b1, cg) -> np.ndarray:
-    """Effect 4-vectors from box coordinates; ``s = a (1 + b)`` rescales the
-    coupled domain ``a in [0, 1/(1+b)]`` onto the unit box."""
-    return _effect_ops(s0 / (1.0 + b0), b0, s1 / (1.0 + b1), b1, cg)
+def _effect_params(s0, b0, s1, b1, cg):
+    """Effect parameters ``(a0, b0, a1, b1, cos_gamma)`` from the box
+    coordinates of the searches; ``s = a (1 + b)`` rescales the coupled
+    domain ``a in [0, 1/(1+b)]`` onto the unit box, whose ``s = 1`` face is
+    the extremal family."""
+    return s0 / (1.0 + b0), b0, s1 / (1.0 + b1), b1, cg
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +316,52 @@ def _lockstep_nelder_mead(
         sim, fsim = sort(sim, fsim)
 
 
-def _check_refinement_budget(budget: int) -> None:
+def _multistart(
+    objective_batch: Callable[[Sequence[np.ndarray]], np.ndarray],
+    box: Sequence[tuple[float, float]],
+    resolution: int,
+    cells_per_point: int,
+    restarts: int,
+    seed: int | None,
+    budget: int,
+) -> tuple[float, np.ndarray, int]:
+    """Maximize ``objective_batch`` over ``box``: an exhaustive grid of
+    ``resolution`` points per axis, in chunks of ``GRID_CHUNK_CELLS`` cells
+    at ``cells_per_point`` cells per point, then lockstep Nelder-Mead from
+    the ten best cells and ``restarts`` seeded uniform starts. Returns the
+    best value, its point and the number of objective evaluations. A grid of
+    more than ``GRID_GUARD_POINTS`` points raises :class:`GuardExceeded`."""
+    if resolution < 1:
+        raise ValueError("grid resolution must be at least 1 point per axis")
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
     if budget < 1:
         raise ValueError("refinement budget must be at least 1 evaluation")
+    shape = (resolution,) * len(box)
+    size = math.prod(shape)
+    if size > GRID_GUARD_POINTS:
+        raise GuardExceeded(f"a grid of {size} points exceeds the guard of {GRID_GUARD_POINTS}")
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
 
+    def grid_points(index):
+        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))]
 
-def _grid_axes(box: Sequence[tuple[float, float]], resolution: int) -> list[np.ndarray]:
-    return [np.linspace(lo, hi, resolution) for lo, hi in box]
+    chunk = max(1, GRID_CHUNK_CELLS // cells_per_point)
+    flat = np.concatenate([
+        objective_batch(grid_points(np.arange(lo, min(lo + chunk, size))))
+        for lo in range(0, size, chunk)
+    ])
+    order = np.argsort(flat)[::-1][:10]
+    lower, upper = np.transpose(box)
+    starts = [*np.stack(grid_points(order), axis=1),
+              *np.random.default_rng(seed).uniform(lower, upper, (restarts, len(box)))]
+
+    best_value, best_point, evaluations = float(flat[order[0]]), starts[0], size
+    for value, point, nfev in _lockstep_nelder_mead(objective_batch, starts, box, budget):
+        evaluations += nfev
+        if value > best_value:
+            best_value, best_point = value, point
+    return best_value, best_point, evaluations
 
 
 def optimize_tee_bound(
@@ -327,44 +371,21 @@ def optimize_tee_bound(
 ) -> BoundResult:
     """Globally maximize the closed-form three-step bound over
     ``(p, q, cos_gamma)`` by exhaustive grid search plus simplex refinement
-    from the ten best grid cells."""
+    from the ten best grid cells. The argmax maps to effects as a point of
+    the ``s = 1`` face of the generic box, with ``b = p / (2 - p)``."""
     if grid_resolution < 20:
         raise ValueError("grid resolution must be at least 20 per axis")
-    _check_refinement_budget(refinement_budget)
     if box is None:
         box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
-    axes = _grid_axes(box, grid_resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    values = _tee_closed_form_array(*mesh)
-    flat = values.ravel()
-    evaluations = flat.size
-    order = np.argsort(flat)[::-1][:10]
-    points = np.stack([m.ravel()[order] for m in mesh], axis=1)
-
-    best_value = float(flat[order[0]])
-    best_point = points[0]
-    refined = _lockstep_nelder_mead(
-        lambda z: _tee_closed_form_array(*z), points, box, refinement_budget
+    # The closed form peaks at 8 float cells per point.
+    value, point, evaluations = _multistart(
+        lambda z: _tee_closed_form_array(*z), box, grid_resolution, 8, 0, None, refinement_budget
     )
-    for val, pt, nfev in refined:
-        evaluations += nfev
-        if val > best_value:
-            best_value, best_point = val, pt
-    params = QubitBoundParams(*(float(v) for v in best_point))
-    a0 = 1.0 / (1.0 + params.p / (2.0 - params.p))
-    a1 = 1.0 / (1.0 + params.q / (2.0 - params.q))
+    params = QubitBoundParams(*(float(v) for v in point))
+    p, q = params.p, params.q
     return BoundResult(
-        value=best_value,
-        method="closed_form",
-        effect_params=(
-            a0,
-            params.p / (2.0 - params.p),
-            a1,
-            params.q / (2.0 - params.q),
-            params.cos_gamma,
-        ),
-        params=params,
-        evaluations=evaluations,
+        value=value, method="closed_form", params=params, evaluations=evaluations,
+        effect_params=_effect_params(1.0, p / (2.0 - p), 1.0, q / (2.0 - q), params.cos_gamma),
     )
 
 
@@ -380,62 +401,21 @@ def optimize_qubit_bound(
 
     Multi-start strategy: a coarse exhaustive grid, simplex refinement from
     the ten best cells, then ``restarts`` seeded random starts. The search
-    runs in rescaled coordinates ``s = a (1 + b)`` so the box is a product.
+    runs in the box coordinates of :func:`_effect_params`.
     """
     _check_two_setting_binary(witness)
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
-    _check_refinement_budget(refinement_budget)
-    box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
-
     coeffs = witness.coefficients
-
-    def objective_batch(z: Sequence[np.ndarray]) -> np.ndarray:
-        return _nested_bound(coeffs, _ops_from_parameters(*z))
-
-    axes = _grid_axes(box, grid_resolution)
-    shape = tuple(map(len, axes))
-
-    def grid_points(index):
-        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))]
-
-    # Chunks bound the memory of the level products, which hold 4 cells per
-    # entry of the history tensor per point.
-    size = math.prod(shape)
-    chunk = max(1, GRID_CHUNK_CELLS // (4 * coeffs.size))
-    flat = np.concatenate([
-        objective_batch(grid_points(np.arange(lo, min(lo + chunk, size))))
-        for lo in range(0, size, chunk)
-    ])
-    evaluations = flat.size
-    order = np.argsort(flat)[::-1][:10]
-    starts = list(np.stack(grid_points(order), axis=1))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        z = rng.uniform([lo for lo, _ in box], [hi for _, hi in box])
-        starts.append(z)
-
-    best_value = float(flat[order[0]])
-    best_point = starts[0]
-    for val, pt, nfev in _lockstep_nelder_mead(objective_batch, starts, box, refinement_budget):
-        evaluations += nfev
-        if val > best_value:
-            best_value, best_point = val, pt
-
-    s0, b0, s1, b1, cg = (float(v) for v in best_point)
-    effect_params = (s0 / (1.0 + b0), b0, s1 / (1.0 + b1), b1, cg)
+    value, point, evaluations = _multistart(
+        lambda z: _nested_bound(coeffs, _effect_ops(*_effect_params(*z))),
+        ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)),
+        # A level product holds 4 cells per entry of the history tensor.
+        grid_resolution, 4 * coeffs.size, restarts, seed, refinement_budget,
+    )
+    s0, b0, s1, b1, cg = (float(v) for v in point)
     params = None
     if s0 > 1.0 - 1e-6 and s1 > 1.0 - 1e-6:
-        params = QubitBoundParams(
-            p=2.0 * b0 / (1.0 + b0), q=2.0 * b1 / (1.0 + b1), cos_gamma=cg
-        )
+        params = QubitBoundParams(2.0 * b0 / (1.0 + b0), 2.0 * b1 / (1.0 + b1), cg)
     return BoundResult(
-        value=best_value,
-        method="nested_generic",
-        effect_params=effect_params,
-        params=params,
-        evaluations=evaluations,
-        restarts=restarts,
-        seed=seed,
+        value=value, method="nested_generic", params=params, evaluations=evaluations,
+        effect_params=_effect_params(s0, b0, s1, b1, cg), restarts=restarts, seed=seed,
     )

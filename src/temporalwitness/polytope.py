@@ -55,13 +55,6 @@ class AoTConstraint:
             minus.append((x_b, a_idx))
         return plus, minus
 
-    def evaluate(self, table: CorrelationTable) -> float:
-        plus, minus = self.cells(table.scenario)
-        return float(
-            sum(table.probs[i, j] for i, j in plus)
-            - sum(table.probs[i, j] for i, j in minus)
-        )
-
 
 def aot_constraints(scenario: Scenario) -> list[AoTConstraint]:
     """All prefix-marginal AoT equalities, with a maximal linearly
@@ -107,13 +100,21 @@ def independent_constraint_count(scenario: Scenario) -> int:
 
 def check_aot(table: CorrelationTable, tol: float = 1e-10) -> list[tuple[AoTConstraint, float]]:
     """Violated AoT constraints with their magnitudes; empty iff the table
-    satisfies every constraint to within ``tol``."""
-    violations = []
-    for con in aot_constraints(table.scenario):
-        value = con.evaluate(table)
-        if abs(value) > tol:
-            violations.append((con, value))
-    return violations
+    satisfies every constraint to within ``tol``. The prefix marginals of
+    every level and completion pair are compared in one vector, in the order
+    of :func:`aot_constraints`, which is built only for a violation."""
+    m, d, length = table.scenario.settings, table.scenario.outcomes, table.scenario.length
+    diffs = [np.zeros(0)]
+    for k in range(1, length):
+        completions = m ** (length - k)
+        # Sums over the outcomes after step k, as (x prefix, a prefix, completion).
+        marginal = table.probs.reshape(m**k, completions, d**k, -1).sum(-1).transpose(0, 2, 1)
+        first, second = np.triu_indices(completions, 1)
+        diffs.append((marginal[..., first] - marginal[..., second]).ravel())
+    diff = np.concatenate(diffs)
+    violated = np.flatnonzero(np.abs(diff) > tol)
+    constraints = aot_constraints(table.scenario) if violated.size else []
+    return [(constraints[i], float(diff[i])) for i in violated]
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,7 @@ def extremal_qubit_measurements(
     for name, val in (("p", p), ("q", q)):
         if not -1e-12 <= val <= 1.0 + 1e-12:
             raise ValueError(f"{name}={val} outside [0, 1]")
-    if not -1.0 - 1e-12 <= cos_gamma <= 1.0 + 1e-12:
-        raise ValueError(f"cos_gamma={cos_gamma} outside [-1, 1]")
-    cg = min(1.0, max(-1.0, cos_gamma))
+    cg = qcore.clamp_cos_gamma(cos_gamma)
     c = np.array([1.0, 0.0, 0.0])
     d = np.array([cg, math.sqrt(max(0.0, 1.0 - cg * cg)), 0.0])
 

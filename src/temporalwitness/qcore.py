@@ -327,6 +327,15 @@ def check_bloch_parameters(a: float, b: float) -> None:
         raise ValueError(f"a={a} outside [0, 1/(1+b)]")
 
 
+def clamp_cos_gamma(cos_gamma: float) -> float:
+    """Raise ``ValueError`` unless the cosine of the angle between two effect
+    axes lies in ``[-1, 1]`` to within 1e-12; return it clamped onto
+    ``[-1, 1]``."""
+    if not -1.0 - 1e-12 <= cos_gamma <= 1.0 + 1e-12:
+        raise ValueError(f"cos_gamma={cos_gamma} outside [-1, 1]")
+    return min(1.0, max(-1.0, cos_gamma))
+
+
 def bloch_effect(a: float, b: float, n: np.ndarray | Sequence[float]) -> Effect:
     """Qubit effect ``a (1 + b n . sigma)`` with ``n`` a unit vector.
 

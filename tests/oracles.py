@@ -4,7 +4,8 @@ bound refinement.
 Each walker goes through the tree of measurement histories cell by cell or
 node by node, without the history-tensor view; ``refine`` runs one scipy
 Nelder-Mead search per start on a scalar objective; the Monte Carlo AoT
-calibration draws and scores one replication at a time. They are the
+calibration draws and scores one replication at a time; the AoT check
+sums each constraint's cells one by one. They are the
 references for the randomized comparisons in ``test_oracles.py``. The
 table and counts-file writers and readers decode, parse and encode every
 label cell by cell.
@@ -282,6 +283,20 @@ def constraint_row(scenario, con):
     for i, j in minus:
         row[i * scenario.num_outcome_sequences + j] -= 1
     return row
+
+
+def aot_constraint_value(table, con):
+    """A constraint's +1 cells minus its -1 cells, each summed cell by cell."""
+    plus, minus = con.cells(table.scenario)
+    return float(
+        sum(table.probs[i, j] for i, j in plus) - sum(table.probs[i, j] for i, j in minus)
+    )
+
+
+def check_aot(table, tol):
+    """Every constraint past ``tol``, evaluated one at a time in order."""
+    values = [(con, aot_constraint_value(table, con)) for con in aot_constraints(table.scenario)]
+    return [(con, value) for con, value in values if abs(value) > tol]
 
 
 def normalization_basis(scenario):

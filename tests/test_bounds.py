@@ -93,6 +93,13 @@ class TestOptimizeTeeBound:
             result = optimize_tee_bound(refinement_budget=budget)
             assert type(result.value) is float
 
+    def test_effect_params_map_the_argmax_onto_the_nested_bound(self):
+        # The argmax maps onto the s = 1 face of the generic box, where the
+        # nested bound of T is the closed form.
+        result = optimize_tee_bound()
+        nested = nested_generic_bound(get_witness("T"), *result.effect_params)
+        assert nested == pytest.approx(result.value, abs=1e-9)
+
     def test_result_dominates_probes(self):
         rng = np.random.default_rng(15)
         result = optimize_tee_bound()
@@ -206,3 +213,43 @@ class TestOptimizeQubitBound:
                 value = simulator.evaluate_witness(w, table)
                 assert value <= nested_generic_bound(w, *own_params) + 1e-9
                 assert value <= cached[wid] + 1e-6
+
+
+class TestMultistart:
+    @pytest.mark.parametrize("optimize", [
+        lambda: optimize_tee_bound(grid_resolution=20),
+        lambda: optimize_qubit_bound(get_witness("B3"), restarts=2),
+    ], ids=["closed", "generic"])
+    def test_chunked_grid_matches_one_pass(self, optimize, monkeypatch):
+        # Both default grids fit in one chunk; 999 cells cut them into
+        # chunks of 124 and 15 points, the last one short.
+        default = optimize()
+        monkeypatch.setattr(bounds, "GRID_CHUNK_CELLS", 999)
+        chunked = optimize()
+        assert chunked.value == default.value
+        assert chunked.effect_params == default.effect_params
+        assert chunked.params == default.params
+        assert chunked.evaluations == default.evaluations
+
+    def test_guard_counts_grid_points(self, monkeypatch):
+        monkeypatch.setattr(bounds, "GRID_GUARD_POINTS", 20**3)
+        result = optimize_tee_bound(grid_resolution=20, refinement_budget=1)
+        assert result.evaluations == 20**3 + 10
+        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+            optimize_tee_bound(grid_resolution=21)
+
+    @pytest.mark.parametrize("resolution", [216, 1000])
+    def test_guard_trips_before_the_grid(self, resolution):
+        def objective(z):
+            raise AssertionError("evaluated the grid")
+
+        box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+        assert resolution**3 > bounds.GRID_GUARD_POINTS
+        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+            bounds._multistart(objective, box, resolution, 1, 0, None, 1)
+        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+            optimize_tee_bound(grid_resolution=resolution)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="grid resolution must be at least 1"):
+            optimize_qubit_bound(get_witness("B1"), grid_resolution=0)

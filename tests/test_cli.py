@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from temporalwitness import cli, protocols, simulator, stats
+from temporalwitness import bounds, cli, protocols, simulator, stats
 from temporalwitness.cli import build_parser, format_counts_file, main, parse_counts_file
 from temporalwitness.simulator import Scenario
 
@@ -172,6 +172,16 @@ class TestBound:
         doc = json.loads(out1)
         assert doc["seed"] == 7
         assert doc["method"] == "nested_generic"
+
+    def test_grid_past_the_guard_exits_before_evaluating(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "_tee_closed_form_array",
+                            lambda *z: pytest.fail("evaluated the grid"))
+        code, out, err = run(
+            capsys, "bound", "T", "--method", "closed", "--grid-resolution", "1000"
+        )
+        assert code == 3
+        assert out == ""
+        assert "exceeds the guard" in err
 
 
 class TestPolytope:

@@ -232,7 +232,7 @@ def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
     witness = random_witness(rng, Scenario(length, 2, 2), num_terms, integer=False)
     lo = np.array([0.0, 0.0, 0.0, 0.0, -1.0]).reshape((5,) + (1,) * len(batch))
     z = lo + (1.0 - lo) * rng.random((5,) + batch)
-    ops = bounds._ops_from_parameters(*z)
+    ops = bounds._effect_ops(*bounds._effect_params(*z))
     # The oracle takes the effects batch first, as ``ops[..., x, a, :]``.
     batch_first = np.moveaxis(ops, (0, 1), (-2, -1)).reshape(batch + (2, 2, 4))
     # The same products and sums in the same order: equal to the last bit.
@@ -292,7 +292,8 @@ def refinement_problem(name):
     if name == "closed":
         return TEE_BOX, lambda z: bounds._tee_closed_form_array(*z)
     coeffs = simulator.get_witness(name).coefficients
-    return QUBIT_BOX, lambda z: bounds._nested_bound(coeffs, bounds._ops_from_parameters(*z))
+    return QUBIT_BOX, lambda z: bounds._nested_bound(
+        coeffs, bounds._effect_ops(*bounds._effect_params(*z)))
 
 
 def bits(x):
@@ -414,6 +415,28 @@ def test_independence_count_matches_exact_elimination(dims):
         reduced = oracles.integer_row_reduce(basis, oracles.constraint_row(scenario, con))
         assert reduced is not None
         basis.append(reduced)
+
+
+@ORACLE
+@given(seed=seeds, dims=st.sampled_from([(1, 2, 2), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3),
+                                         (3, 2, 2), (3, 1, 3), (4, 2, 2), (5, 2, 2)]),
+       aot=st.booleans(), tol=st.sampled_from([0.0, 1e-10, 0.05]))
+def test_check_aot_matches_constraint_loop(seed, dims, aot, tol):
+    rng = np.random.default_rng(seed)
+    sc = Scenario(*dims)
+    if aot:
+        # A factorized table: every difference is roundoff, below any tol
+        # but 0.0, where the two sums may round apart.
+        table = stats.null_model_table(null_model_counts(rng, sc, 20, 0.5, False))
+        tol = max(tol, 1e-10)
+    else:
+        table = random_table(rng, sc)
+    violations = polytope.check_aot(table, tol)
+    expected = oracles.check_aot(table, tol)
+    assert [con for con, _ in violations] == [con for con, _ in expected]
+    for (_, value), (_, expected_value) in zip(violations, expected):
+        assert type(value) is float
+        assert abs(value - expected_value) <= 1e-14
 
 
 # Scenarios with m in 1-3, d in 2-4 and L in 1-5, of at most 2^13 cells so
