@@ -1,8 +1,8 @@
 """Dimension certification from temporal quantum correlations.
 
-The package simulates sequences of general measurements on small quantum
-systems, evaluates temporal witnesses against their dimension-dependent
-bounds, and certifies a minimal Hilbert-space dimension from count data.
+The package simulates sequences of measure-and-prepare steps on small
+quantum systems, evaluates temporal witnesses against their
+dimension-dependent bounds, and certifies a minimal Hilbert-space dimension from count data.
 """
 
 __version__ = "0.1.0"
@@ -10,14 +10,10 @@ __version__ = "0.1.0"
 from .qcore import (  # noqa: F401
     DensityMatrix,
     Effect,
-    Instrument,
-    KrausMap,
     Unitary,
-    apply_map,
     bloch_effect,
     bloch_to_state,
     complement,
-    effect_of,
     probability,
     state_to_bloch,
 )
@@ -35,8 +31,7 @@ from .simulator import (  # noqa: F401
 from .protocols import (  # noqa: F401
     MeasureAndPrepare,
     Protocol,
-    extremal_qubit_effects,
-    instrument_from_pulses,
+    extremal_qubit_measurements,
     optimal_protocol,
 )
 from .bounds import (  # noqa: F401

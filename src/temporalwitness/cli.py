@@ -226,13 +226,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.method == "closed":
         if witness.id != "T":
             raise ValueError("the closed form covers only the three-step witness T")
-        result = bounds.optimize_tee_bound(grid_resolution=args.grid_resolution)
+        resolution = 40 if args.grid_resolution is None else args.grid_resolution
+        result = bounds.optimize_tee_bound(grid_resolution=resolution)
     else:
+        resolution = 10 if args.grid_resolution is None else args.grid_resolution
+        if not 4 <= resolution <= 10:
+            raise ValueError(
+                f"--grid-resolution {resolution} is outside [4, 10], "
+                "the range of the 5-axis generic search"
+            )
         result = bounds.optimize_qubit_bound(
-            witness,
-            restarts=args.restarts,
-            seed=args.seed,
-            grid_resolution=max(4, min(args.grid_resolution, 10)),
+            witness, restarts=args.restarts, seed=args.seed, grid_resolution=resolution
         )
     text = [
         f"witness: {witness.id}",
@@ -440,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
     p.add_argument(
-        "--grid-resolution", type=int, default=40,
-        help="grid points per axis (the 5-axis generic search caps this at 10)",
+        "--grid-resolution", type=int,
+        help="grid points per axis: closed 40 by default and at least 20; "
+             "generic 10 by default and within [4, 10]",
     )
     add_format(p)
     p.set_defaults(func=_cmd_bound)

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import qcore
 from .qcore import (
+    COMPLETENESS_TOL,
     DensityMatrix,
     Effect,
-    Instrument,
-    KrausMap,
     Unitary,
     basis_ket,
     identity,
@@ -82,8 +81,8 @@ def parse_pulse_token(token: str) -> PulsePrimitive:
 
 @dataclass(frozen=True, eq=False)
 class MeasureAndPrepare:
-    """A projective (or general two-outcome) measurement followed by the
-    preparation of a pure state that depends only on the setting."""
+    """A two-outcome measurement followed by the preparation of a state
+    that depends only on the setting."""
 
     effect_bright: Effect
     effect_dark: Effect
@@ -96,13 +95,6 @@ class MeasureAndPrepare:
         total = self.effect_bright.mat + self.effect_dark.mat
         if np.max(np.abs(total - identity(self.effect_bright.dim))) > 1e-12:
             raise ValueError("bright and dark effects must sum to the identity")
-        purity = float(np.trace(self.prepared_state.mat @ self.prepared_state.mat).real)
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError("prepared state must be pure")
-
-    @property
-    def dim(self) -> int:
-        return self.effect_bright.dim
 
     def effect(self, outcome: str) -> Effect:
         if outcome == self.bright_outcome:
@@ -113,34 +105,6 @@ class MeasureAndPrepare:
 
     def detection_kind(self, outcome: str) -> str:
         return BRIGHT if outcome == self.bright_outcome else DARK
-
-    def to_instrument(self) -> Instrument:
-        prep_ket = _pure_ket(self.prepared_state)
-        maps = {
-            label: _prepare_kraus(self.effect(label), prep_ket)
-            for label in OUTCOME_LABELS
-        }
-        return Instrument(dim=self.dim, outcomes=OUTCOME_LABELS, maps=maps)
-
-
-def _pure_ket(state: DensityMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(state.mat)
-    if vals[-1] < 1.0 - 1e-9:
-        raise ValueError("state is not pure")
-    return vecs[:, -1]
-
-
-def _prepare_kraus(effect: Effect, prep_ket: np.ndarray) -> KrausMap:
-    """Kraus operators of ``rho -> tr(E rho) |prep><prep|``."""
-    vals, vecs = np.linalg.eigh(effect.mat)
-    ops = [
-        math.sqrt(val) * np.outer(prep_ket, vecs[:, k].conj())
-        for k, val in enumerate(vals)
-        if val > 1e-12
-    ]
-    if not ops:
-        ops = [np.zeros((effect.dim, effect.dim), dtype=complex)]
-    return KrausMap(tuple(ops))
 
 
 def measure_and_prepare_from_pulses(
@@ -181,64 +145,64 @@ def measure_and_prepare_from_pulses(
     )
 
 
-def instrument_from_pulses(
-    block: Sequence[PulsePrimitive],
-    bright_outcome: str,
-    phases: PhaseConfig = PhaseConfig(),
-) -> Instrument:
-    return measure_and_prepare_from_pulses(block, bright_outcome, phases).to_instrument()
-
-
-def measure_and_prepare_instrument(
-    effects: dict[str, Effect], prepared: dict[str, DensityMatrix]
-) -> Instrument:
-    """Measure-and-prepare instrument with per-outcome preparations.
-
-    Each branch measures its effect and then re-prepares the matching pure
-    state; completeness of the effects is validated by the instrument.
-    """
-    if set(effects) != set(prepared):
-        raise ValueError("effects and prepared states must cover the same outcomes")
-    labels = tuple(effects)
-    dim = next(iter(effects.values())).dim
-    maps = {
-        label: _prepare_kraus(effects[label], _pure_ket(prepared[label]))
-        for label in labels
-    }
-    return Instrument(dim=dim, outcomes=labels, maps=maps)
-
-
 @dataclass(frozen=True, eq=False)
 class Protocol:
-    """A fixed set of instruments applied at every time step, plus the
-    initial state. Instruments are time-independent: the same object is
-    reused at each step of a sequence."""
+    """A measure-and-prepare protocol: the initial state and, for setting
+    ``x`` and outcome ``a``, the effect ``effects[x, a]`` that the step
+    measures and the state ``preparations[x, a]`` that it leaves behind.
+    Both arrays have shape ``(m, d, D, D)`` and are read-only.
 
-    dim: int
+    A dimension verdict drawn from this protocol's tables rests on two
+    assumptions, and is void without them:
+
+    - *time-independent instruments*: setting ``x`` applies the same
+      ``(E, sigma)`` at every step, which is all this class can express;
+    - *arrow of time*: a setting is not known before an earlier step
+      reports.
+
+    With step-dependent instruments a classical bit reaches the algebraic
+    maximum of B1, and its table passes every AoT constraint.
+    """
+
     initial_state: DensityMatrix
-    instruments: dict[int, Instrument]
+    effects: np.ndarray
+    preparations: np.ndarray
     detection_kinds: dict[tuple[int, str], str] | None = None
 
     def __post_init__(self) -> None:
-        if sorted(self.instruments) != list(range(len(self.instruments))):
-            raise ValueError("instrument settings must be labeled 0..m-1")
-        if self.initial_state.dim != self.dim:
-            raise ValueError("initial state dimension mismatch")
-        outcome_sets = set()
-        for setting, instr in self.instruments.items():
-            if instr.dim != self.dim:
-                raise ValueError(f"instrument {setting} has dim {instr.dim}")
-            outcome_sets.add(instr.outcomes)
-        if len(outcome_sets) != 1:
-            raise ValueError("all instruments must share one outcome alphabet")
+        effects = np.array(self.effects, dtype=complex)
+        preparations = np.array(self.preparations, dtype=complex)
+        shape = effects.shape
+        if len(shape) != 4 or shape[0] < 1 or shape[1] < 2 or shape[2] != shape[3]:
+            raise ValueError(f"effects must have shape (m, d, D, D) with d >= 2, got {shape}")
+        if preparations.shape != shape:
+            raise ValueError(f"preparations have shape {preparations.shape}, effects {shape}")
+        if self.initial_state.dim != shape[-1]:
+            raise ValueError(f"initial state has dim {self.initial_state.dim}, effects {shape[-1]}")
+        if not (np.isfinite(effects).all() and np.isfinite(preparations).all()):
+            raise ValueError("effects and preparations must be finite")
+        qcore.check_effects(effects)
+        dev = np.max(np.abs(effects.sum(axis=1) - identity(shape[-1])))
+        if dev > COMPLETENESS_TOL:
+            raise ValueError(f"effects do not sum to the identity (deviation {dev:.3e})")
+        qcore.check_states(preparations, "preparation")
+        for name, arr in (("effects", effects), ("preparations", preparations)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def dim(self) -> int:
+        return self.effects.shape[-1]
 
     @property
     def num_settings(self) -> int:
-        return len(self.instruments)
+        return self.effects.shape[0]
 
     @property
     def outcomes(self) -> tuple[str, ...]:
-        return self.instruments[0].outcomes
+        """Outcome labels, as the table and counts files write them."""
+        d = self.effects.shape[1]
+        return OUTCOME_LABELS if d == 2 else tuple(str(a) for a in range(d))
 
 
 @dataclass(frozen=True)
@@ -260,20 +224,19 @@ class ProtocolSpec:
     def build(self, phases: PhaseConfig = PhaseConfig()) -> Protocol:
         if self.dim != 3:
             raise ValueError("pulse-block protocols are defined on the qutrit")
-        measurements = {
-            setting: measure_and_prepare_from_pulses(row.block, row.bright_outcome, phases)
-            for setting, row in enumerate(self.rows)
-        }
-        kinds = {
-            (setting, label): mp.detection_kind(label)
-            for setting, mp in measurements.items()
-            for label in OUTCOME_LABELS
-        }
+        measurements = [
+            measure_and_prepare_from_pulses(row.block, row.bright_outcome, phases)
+            for row in self.rows
+        ]
         return Protocol(
-            dim=self.dim,
             initial_state=DensityMatrix.basis_state(self.dim, self.initial_level),
-            instruments={s: mp.to_instrument() for s, mp in measurements.items()},
-            detection_kinds=kinds,
+            effects=[[mp.effect(label).mat for label in OUTCOME_LABELS] for mp in measurements],
+            preparations=[[mp.prepared_state.mat] * 2 for mp in measurements],
+            detection_kinds={
+                (setting, label): mp.detection_kind(label)
+                for setting, mp in enumerate(measurements)
+                for label in OUTCOME_LABELS
+            },
         )
 
 
@@ -353,17 +316,6 @@ def extremal_qubit_measurements(
         for plus_effect, prep in zip((plus0, plus1), prepared)
     )
     return pair[0], pair[1]
-
-
-def extremal_qubit_effects(
-    p: float,
-    q: float,
-    cos_gamma: float,
-    prepared: tuple[DensityMatrix, DensityMatrix] | None = None,
-) -> tuple[Instrument, Instrument]:
-    """:func:`extremal_qubit_measurements` packaged as instruments."""
-    mp0, mp1 = extremal_qubit_measurements(p, q, cos_gamma, prepared)
-    return mp0.to_instrument(), mp1.to_instrument()
 
 
 # ---------------------------------------------------------------------------

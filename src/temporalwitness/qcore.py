@@ -1,4 +1,4 @@
-"""Finite-dimensional quantum objects: states, effects, Kraus maps, instruments.
+"""Finite-dimensional quantum objects: states, effects and unitaries.
 
 Everything is dense, exact-ish (double precision) and validated at
 construction time. Dimension is a runtime parameter; the library exercises
@@ -8,7 +8,7 @@ dims 2 and 3 but nothing here assumes a fixed size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +42,33 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_hermitian(mat: np.ndarray, what: str) -> None:
-    dev = np.max(np.abs(mat - mat.conj().T))
+def _check_hermitian(mats: np.ndarray, what: str) -> None:
+    dev = np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj()))
     if dev > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+
+
+def check_states(mats: np.ndarray, what: str = "density matrix") -> None:
+    """Raise ``ValueError`` unless every matrix on the last two axes is a
+    state: Hermitian, unit trace, positive semidefinite."""
+    _check_hermitian(mats, what)
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    bad = traces[np.abs(traces - 1.0) > TRACE_TOL]
+    if bad.size:
+        raise ValueError(f"{what} trace {bad[0]} is not 1")
+    lo = np.linalg.eigvalsh(mats)[..., 0].min()
+    if lo < -PSD_TOL:
+        raise ValueError(f"{what} has negative eigenvalue {lo:.3e}")
+
+
+def check_effects(mats: np.ndarray, what: str = "effect") -> None:
+    """Raise ``ValueError`` unless every matrix on the last two axes is an
+    effect: Hermitian with spectrum inside [0, 1]."""
+    _check_hermitian(mats, what)
+    vals = np.linalg.eigvalsh(mats)
+    lo, hi = vals[..., 0].min(), vals[..., -1].max()
+    if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
+        raise ValueError(f"{what} spectrum [{lo:.3e}, {hi:.3e}] not within [0, 1]")
 
 
 def identity(dim: int) -> np.ndarray:
@@ -94,13 +117,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.mat)
-        _check_hermitian(arr, "density matrix")
-        tr = arr.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        lo = np.linalg.eigvalsh(arr)[0]
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        check_states(arr)
         object.__setattr__(self, "mat", _freeze(arr))
 
     @property
@@ -133,12 +150,7 @@ class Effect:
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.mat)
-        _check_hermitian(arr, "effect")
-        vals = np.linalg.eigvalsh(arr)
-        if vals[0] < -PSD_TOL or vals[-1] > 1.0 + PSD_TOL:
-            raise ValueError(
-                f"effect spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] not within [0, 1]"
-            )
+        check_effects(arr)
         object.__setattr__(self, "mat", _freeze(arr))
 
     @property
@@ -149,66 +161,6 @@ class Effect:
 def complement(effect: Effect) -> Effect:
     """The opposite-outcome effect ``1 - E``, exact by construction."""
     return Effect(identity(effect.dim) - effect.mat)
-
-
-@dataclass(frozen=True, eq=False)
-class KrausMap:
-    """A completely positive, trace-nonincreasing map given by Kraus operators."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.operators) == 0:
-            raise ValueError("a Kraus map needs at least one operator")
-        ops = tuple(_freeze(_as_square_complex(op)) for op in self.operators)
-        dims = {op.shape[0] for op in ops}
-        if len(dims) != 1:
-            raise DimensionMismatchError("Kraus operators have mixed dimensions")
-        total = sum(op.conj().T @ op for op in ops)
-        vals = np.linalg.eigvalsh(total)
-        if vals[0] < -PSD_TOL or vals[-1] > 1.0 + PSD_TOL:
-            raise ValueError("Kraus map is not trace-nonincreasing")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def effect(self) -> Effect:
-        """The effect ``sum_i M_i^dag M_i`` whose trace against a state is
-        this branch's outcome probability."""
-        total = sum(op.conj().T @ op for op in self.operators)
-        return Effect(0.5 * (total + total.conj().T))
-
-
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """One generalized measurement: a trace-nonincreasing map per outcome,
-    summing to a trace-preserving map."""
-
-    dim: int
-    outcomes: tuple[str, ...]
-    maps: Mapping[str, KrausMap]
-
-    def __post_init__(self) -> None:
-        if len(self.outcomes) < 1:
-            raise ValueError("instrument needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("outcome labels must be unique")
-        if set(self.maps) != set(self.outcomes):
-            raise ValueError("maps must cover exactly the declared outcomes")
-        for label, kmap in self.maps.items():
-            if kmap.dim != self.dim:
-                raise DimensionMismatchError(
-                    f"map for outcome {label!r} has dim {kmap.dim}, expected {self.dim}"
-                )
-        total = sum(self.maps[o].effect().mat for o in self.outcomes)
-        dev = np.max(np.abs(total - identity(self.dim)))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(
-                f"instrument effects do not sum to the identity (deviation {dev:.3e})"
-            )
-        object.__setattr__(self, "maps", dict(self.maps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,30 +209,6 @@ def idle(phase1: float = 0.0, phase2: float = 0.0) -> Unitary:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def apply_map(kmap: KrausMap, state: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Apply ``rho -> sum_i M_i rho M_i^dag`` and return the unnormalized
-    post-measurement matrix; its trace is the branch probability.
-
-    Matrices stacked on leading axes are mapped one by one.
-    """
-    rho = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (kmap.dim, kmap.dim):
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match map dim {kmap.dim}"
-        )
-    out = np.zeros_like(rho)
-    for op in kmap.operators:
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def effect_of(instrument: Instrument, outcome: str) -> Effect:
-    """The effect of one outcome branch of an instrument."""
-    if outcome not in instrument.maps:
-        raise KeyError(f"unknown outcome label {outcome!r}")
-    return instrument.maps[outcome].effect()
-
 
 def probability(effect: Effect, state: DensityMatrix) -> float:
     """Outcome probability ``tr(E rho)``, clamped to [0, 1].

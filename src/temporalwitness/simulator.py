@@ -16,6 +16,13 @@ level up the tree: the simulator, readout noise, the AoT statistics, the
 nested qubit bound and the algebraic maximum are all loops over levels of
 this tensor, and only this module knows the encoding.
 
+The simulator grows the tensor one level at a time. A measure-and-prepare
+step keeps nothing of the state it measured but its branch, so the
+probability of the next branch depends only on the last one: the first
+level is ``f[x, a] = tr(E[x, a] rho0)``, and each later level multiplies
+the tensor, broadcast over its earlier steps, by the transition tensor
+``T[x, a, x', a'] = tr(E[x', a'] sigma[x, a])``.
+
 The text labels of the cells come from one enumeration per scenario,
 :func:`sequence_labels`, in index order: the table and counts-file writers
 zip them with the rows, and the readers map labels back to indices
@@ -31,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .protocols import BRIGHT, OUTCOME_LABELS, Protocol
-from .qcore import apply_map
 
 TABLE_GUARD = 10**7
 
@@ -41,6 +47,18 @@ DetectionResolver = Callable[[int, int], str]
 
 class GuardExceeded(RuntimeError):
     """A requested enumeration or table would exceed the size guard."""
+
+
+def __getattr__(name: str):
+    # Lazy shim: the simulator applies no Kraus maps, but the traced
+    # benchmark run (perfbench/spans.py) wraps ``simulator.apply_map`` by
+    # name. The stub it gets is never called, so its span reads 0. The shim
+    # goes once the benchmark drops that span.
+    if name == "apply_map":
+        def apply_map(*args, **kwargs):
+            raise NotImplementedError("the simulator applies no Kraus maps")
+        return apply_map
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def encode_sequence(seq: Sequence[int], base: int) -> int:
@@ -311,33 +329,15 @@ def get_witness(witness_id: str) -> Witness:
 # ---------------------------------------------------------------------------
 
 def sequence_probabilities(protocol: Protocol, length: int) -> CorrelationTable:
-    """Exact table of ``p(a_1..a_L | x_1..x_L)`` for a protocol.
-
-    Each branch ``(x, a)`` acts on vectorized density matrices as one
-    superoperator, built by mapping the matrix units. The frontier of
-    unnormalized post-measurement states is a history tensor with a
-    trailing state axis; each level is one contraction of it with all
-    branches, after which branches of trace at most 1e-15 are cut to exact
-    zeros. Leaf traces are the entries; rows are normalized because the
-    instruments are trace-preserving.
-    """
-    m = protocol.num_settings
-    d = len(protocol.outcomes)
-    scenario = Scenario(length=length, settings=m, outcomes=d)
-    n = protocol.dim**2
-    units = np.eye(n, dtype=complex).reshape(n, protocol.dim, protocol.dim)
-    images = np.array([
-        [apply_map(protocol.instruments[x].maps[label], units) for label in protocol.outcomes]
-        for x in range(m)
-    ])
-    # step[l, (x, a, k)]: entry k of branch (x, a) applied to matrix unit l.
-    step = images.reshape(m, d, n, n).transpose(2, 0, 1, 3).reshape(n, m * d * n)
-    diagonal = np.arange(protocol.dim) * (protocol.dim + 1)
-    frontier = np.asarray(protocol.initial_state.mat).reshape(n)
-    for _ in range(length):
-        frontier = (frontier @ step).reshape(frontier.shape[:-1] + (m, d, n))
-        frontier[frontier[..., diagonal].sum(axis=-1).real <= 1e-15] = 0.0
-    probs = frontier[..., diagonal].sum(axis=-1).real
+    """Exact table of ``p(a_1..a_L | x_1..x_L)`` for a protocol: the Markov
+    product ``f[x1, a1] * prod_k T[x(k-1), a(k-1), xk, ak]`` of the module
+    docstring, one broadcast product per level of the history tensor."""
+    effects = protocol.effects
+    scenario = Scenario(length=length, settings=effects.shape[0], outcomes=effects.shape[1])
+    probs = np.einsum("xaij,ji->xa", effects, protocol.initial_state.mat).real
+    transition = np.einsum("ybij,xaji->xayb", effects, protocol.preparations).real
+    for _ in range(1, length):
+        probs = probs[..., None, None] * transition
     return CorrelationTable(scenario=scenario, probs=scenario.from_history(probs))
 
 

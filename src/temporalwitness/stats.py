@@ -435,7 +435,18 @@ def certify(
     counts: CountsTable,
     spec: ConfidenceSpec = ConfidenceSpec(),
 ) -> CertificationReport:
-    """Assemble the full certification report for a witness and counts."""
+    """Assemble the full certification report for a witness and counts.
+
+    The verdict is sound only under two assumptions:
+
+    - *time-independent instruments*: setting ``x`` applies the same
+      measurement and re-preparation ``(E, sigma)`` at every step;
+    - *arrow of time*: a setting is not known before an earlier step
+      reports.
+
+    With step-dependent instruments a classical bit reaches the algebraic
+    maximum of B1, and its table passes every AoT constraint.
+    """
     if witness.qubit_bound is None or witness.algebraic_max is None:
         raise ValueError(f"witness {witness.id!r} carries no dimension bounds")
     if witness.scenario != counts.scenario:

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
-from temporalwitness.qcore import apply_map, bloch_effect, complement, pauli_matrices
+from temporalwitness.qcore import bloch_effect, complement, pauli_matrices
 from temporalwitness.simulator import (
     CorrelationTable,
     Scenario,
@@ -31,22 +31,40 @@ from temporalwitness.simulator import (
 )
 
 
+def branch_kraus_operators(effect, preparation):
+    """Kraus operators ``sqrt(lambda_k mu_j) |s_j><e_k|`` of the branch
+    ``rho -> tr(E rho) sigma``, from the eigendecompositions
+    ``E = sum_k lambda_k |e_k><e_k|`` and ``sigma = sum_j mu_j |s_j><s_j|``;
+    terms with a product below 1e-24 are dropped."""
+    lam, e_vecs = np.linalg.eigh(effect)
+    mu, s_vecs = np.linalg.eigh(preparation)
+    return [
+        math.sqrt(lam[k] * mu[j]) * np.outer(s_vecs[:, j], e_vecs[:, k].conj())
+        for k in range(len(lam))
+        for j in range(len(mu))
+        if lam[k] * mu[j] > 1e-24
+    ]
+
+
 def sequence_probabilities(protocol, length):
-    """Depth-first recursion over histories, pruning branches of trace at
-    most 1e-15."""
+    """Depth-first recursion over histories through each branch's physical
+    instrument, ``rho -> sum_i K_i rho K_i^dag``, pruning branches of trace
+    at most 1e-15."""
     m = protocol.num_settings
     d = len(protocol.outcomes)
     scenario = Scenario(length=length, settings=m, outcomes=d)
     probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
+    kraus = [[branch_kraus_operators(protocol.effects[x, a], protocol.preparations[x, a])
+              for a in range(d)] for x in range(m)]
 
     def descend(depth, x_idx, a_idx, rho):
         if depth == length:
             probs[x_idx, a_idx] = float(rho.trace().real)
             return
         for x in range(m):
-            instr = protocol.instruments[x]
-            for a, label in enumerate(protocol.outcomes):
-                branch = apply_map(instr.maps[label], rho)
+            for a in range(d):
+                branch = sum((op @ rho @ op.conj().T for op in kraus[x][a]),
+                             np.zeros_like(rho))
                 if branch.trace().real > 1e-15:
                     descend(depth + 1, x_idx * m + x, a_idx * d + a, branch)
 

@@ -183,6 +183,24 @@ class TestBound:
         assert out == ""
         assert "exceeds the guard" in err
 
+    @pytest.mark.parametrize("resolution", ["0", "1000"])
+    def test_generic_grid_outside_range_rejected(self, capsys, monkeypatch, resolution):
+        monkeypatch.setattr(bounds, "optimize_qubit_bound",
+                            lambda *a, **k: pytest.fail("ran the search"))
+        code, out, err = run(
+            capsys, "bound", "B1", "--method", "generic", "--grid-resolution", resolution
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside [4, 10]" in err
+
+    def test_generic_grid_default_and_explicit_agree(self, capsys):
+        default = run(capsys, "bound", "B1", "--restarts", "0", "--format", "machine")
+        explicit = run(capsys, "bound", "B1", "--restarts", "0", "--format", "machine",
+                       "--grid-resolution", "10")
+        assert default == explicit
+        assert default[0] == 0
+
 
 class TestPolytope:
     def test_three_step_witness(self, capsys):

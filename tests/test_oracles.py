@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import chdtrc, ndtri
@@ -18,21 +18,10 @@ import oracles
 import util
 from temporalwitness import bounds, cli, polytope, protocols, simulator, stats
 from temporalwitness.protocols import BRIGHT, DARK
-from temporalwitness.qcore import Instrument, KrausMap
 from temporalwitness.simulator import CorrelationTable, ReadoutNoise, Scenario, Witness
 
 ORACLE = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
-
-
-def random_instrument(rng, dim, labels, kraus_rank):
-    """A random instrument: the Kraus operators are blocks of a random
-    isometry, so the branches sum to a trace-preserving map."""
-    rows = len(labels) * kraus_rank * dim
-    isometry, _ = np.linalg.qr(rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim)))
-    ops = isometry.reshape(len(labels), kraus_rank, dim, dim)
-    maps = {label: KrausMap(tuple(ops[a])) for a, label in enumerate(labels)}
-    return Instrument(dim=dim, outcomes=labels, maps=maps)
 
 
 def random_table(rng, scenario, sparsity=0.3):
@@ -62,36 +51,36 @@ def random_witness(rng, scenario, num_terms, integer=True):
 
 
 @ORACLE
-@given(seed=seeds, dim=st.integers(2, 3), m=st.integers(1, 3), d=st.integers(2, 3),
-       rank=st.integers(1, 2), length=st.integers(1, 3))
-def test_simulator_matches_recursion(seed, dim, m, d, rank, length):
-    rng = np.random.default_rng(seed)
-    labels = tuple(str(a) for a in range(d))
-    protocol = protocols.Protocol(
-        dim=dim,
-        initial_state=util.random_pure_state(rng, dim),
-        instruments={x: random_instrument(rng, dim, labels, rank) for x in range(m)},
-    )
+@given(seed=seeds, m=st.integers(1, 3), d=st.integers(2, 3), dim=st.integers(2, 3),
+       mixed=st.booleans(), length=st.integers(1, 5))
+def test_simulator_matches_recursion_measure_and_prepare(seed, m, d, dim, mixed, length):
+    # The recursion visits every history; (3 * 3)^5 of them would take
+    # seconds, so length 5 runs with at most six branches per step.
+    assume((m * d) ** length <= 6**5)
+    protocol = util.random_protocol(np.random.default_rng(seed), m, d, dim, mixed)
     table = simulator.sequence_probabilities(protocol, length)
     expected = oracles.sequence_probabilities(protocol, length)
     assert np.allclose(table.probs, expected.probs, rtol=0, atol=1e-12)
 
 
 @ORACLE
-@given(seed=seeds, qutrit=st.booleans(), length=st.integers(1, 4))
-def test_simulator_matches_recursion_measure_and_prepare(seed, qutrit, length):
+@given(seed=seeds, dim=st.integers(2, 3), mixed=st.booleans())
+def test_reference_branches_measure_and_prepare(seed, dim, mixed):
+    # The reference's Kraus operators of branch (x, a) realize the physical
+    # map rho -> tr(E rho) sigma, which the Markov product assumes.
     rng = np.random.default_rng(seed)
-    build = util.random_qutrit_protocol if qutrit else util.random_qubit_protocol
-    protocol = build(rng)
-    table = simulator.sequence_probabilities(protocol, length)
-    expected = oracles.sequence_probabilities(protocol, length)
-    assert np.allclose(table.probs, expected.probs, rtol=0, atol=1e-12)
+    protocol = util.random_protocol(rng, 1, 3, dim, mixed)
+    rho = util.random_state(rng, dim, mixed=True).mat
+    for effect, preparation in zip(protocol.effects[0], protocol.preparations[0]):
+        ops = oracles.branch_kraus_operators(effect, preparation)
+        out = sum(op @ rho @ op.conj().T for op in ops)
+        assert np.allclose(out, np.trace(effect @ rho).real * preparation, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("wid", sorted(simulator.WITNESSES))
 def test_optimal_protocols_match_recursion_exactly(wid):
     protocol = protocols.optimal_protocol(wid)
-    for length in (1, 2, 3, 4):
+    for length in (1, 2, 3, 4, 5, 6):
         table = simulator.sequence_probabilities(protocol, length)
         assert np.array_equal(
             table.probs, oracles.sequence_probabilities(protocol, length).probs

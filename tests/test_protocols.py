@@ -1,5 +1,5 @@
-"""Tests for pulse-block instruments, the optimal protocols, and the
-extremal qubit measurement family."""
+"""Tests for pulse-block measurements, the optimal protocols, protocol
+validation, and the extremal qubit measurement family."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,16 @@ from temporalwitness import protocols, simulator
 from temporalwitness.protocols import (
     OPTIMAL_PULSES,
     PhaseConfig,
+    Protocol,
     PulsePrimitive,
-    extremal_qubit_effects,
+    extremal_qubit_measurements,
     format_protocol_spec,
-    instrument_from_pulses,
     measure_and_prepare_from_pulses,
     optimal_protocol,
     parse_protocol_spec,
     parse_pulse_token,
 )
-from temporalwitness.qcore import effect_of, identity, ketbra, probability
+from temporalwitness.qcore import DensityMatrix, identity, ketbra, probability
 
 
 def block(tokens):
@@ -26,32 +26,29 @@ def block(tokens):
 
 class TestPulseGrammar:
     def test_b1_style_block(self):
-        instr = instrument_from_pulses(block("pi02 D C P0 pi01"), "+")
-        assert np.allclose(effect_of(instr, "+").mat, np.diag([1, 1, 0]), atol=1e-12)
-        assert np.allclose(effect_of(instr, "-").mat, np.diag([0, 0, 1]), atol=1e-12)
         mp = measure_and_prepare_from_pulses(block("pi02 D C P0 pi01"), "+")
+        assert np.allclose(mp.effect("+").mat, np.diag([1, 1, 0]), atol=1e-12)
+        assert np.allclose(mp.effect("-").mat, np.diag([0, 0, 1]), atol=1e-12)
         assert np.allclose(mp.prepared_state.mat, ketbra(3, 1, 1), atol=1e-12)
 
     def test_idle_block_with_dark_plus(self):
-        instr = instrument_from_pulses(block("I D C P0 pi01"), "-")
-        assert np.allclose(effect_of(instr, "+").mat, np.diag([1, 0, 0]), atol=1e-12)
-        assert np.allclose(effect_of(instr, "-").mat, np.diag([0, 1, 1]), atol=1e-12)
         mp = measure_and_prepare_from_pulses(block("I D C P0 pi01"), "-")
+        assert np.allclose(mp.effect("+").mat, np.diag([1, 0, 0]), atol=1e-12)
+        assert np.allclose(mp.effect("-").mat, np.diag([0, 1, 1]), atol=1e-12)
         assert np.allclose(mp.prepared_state.mat, ketbra(3, 1, 1), atol=1e-12)
 
     def test_pi01_block(self):
-        instr = instrument_from_pulses(block("pi01 D C P0 pi02"), "+")
-        assert np.allclose(effect_of(instr, "+").mat, np.diag([1, 0, 1]), atol=1e-12)
         mp = measure_and_prepare_from_pulses(block("pi01 D C P0 pi02"), "+")
+        assert np.allclose(mp.effect("+").mat, np.diag([1, 0, 1]), atol=1e-12)
         assert np.allclose(mp.prepared_state.mat, ketbra(3, 2, 2), atol=1e-12)
 
     def test_rejects_malformed_blocks(self):
         with pytest.raises(ValueError, match="5 primitives"):
-            instrument_from_pulses(block("pi02 D C P0"), "+")
+            measure_and_prepare_from_pulses(block("pi02 D C P0"), "+")
         with pytest.raises(ValueError, match="grammar"):
-            instrument_from_pulses(block("pi02 C D P0 pi01"), "+")
+            measure_and_prepare_from_pulses(block("pi02 C D P0 pi01"), "+")
         with pytest.raises(ValueError, match="grammar"):
-            instrument_from_pulses(block("D D C P0 pi01"), "+")
+            measure_and_prepare_from_pulses(block("D D C P0 pi01"), "+")
 
     def test_rejects_unknown_token(self):
         with pytest.raises(ValueError, match="unknown pulse token"):
@@ -59,28 +56,36 @@ class TestPulseGrammar:
 
 
 class TestOptimalProtocols:
+    # effects[x, a]: setting x, outcome a, with "+" at index 0.
     def test_first_witness_effects(self):
         p = optimal_protocol("B1")
-        assert np.allclose(effect_of(p.instruments[0], "+").mat, np.diag([1, 1, 0]))
-        assert np.allclose(effect_of(p.instruments[1], "+").mat, np.diag([1, 0, 1]))
+        assert np.allclose(p.effects[0, 0], np.diag([1, 1, 0]))
+        assert np.allclose(p.effects[1, 0], np.diag([1, 0, 1]))
 
     def test_second_witness_effects(self):
         p = optimal_protocol("B2")
-        assert np.allclose(effect_of(p.instruments[0], "+").mat, np.diag([1, 0, 1]))
-        assert np.allclose(effect_of(p.instruments[0], "-").mat, np.diag([0, 1, 0]))
-        assert np.allclose(effect_of(p.instruments[1], "+").mat, np.diag([1, 1, 0]))
+        assert np.allclose(p.effects[0, 0], np.diag([1, 0, 1]))
+        assert np.allclose(p.effects[0, 1], np.diag([0, 1, 0]))
+        assert np.allclose(p.effects[1, 0], np.diag([1, 1, 0]))
 
     def test_third_witness_effects(self):
         p = optimal_protocol("B3")
-        assert np.allclose(effect_of(p.instruments[0], "+").mat, np.diag([1, 0, 0]))
-        assert np.allclose(effect_of(p.instruments[0], "-").mat, np.diag([0, 1, 1]))
-        assert np.allclose(effect_of(p.instruments[1], "+").mat, np.diag([1, 0, 1]))
+        assert np.allclose(p.effects[0, 0], np.diag([1, 0, 0]))
+        assert np.allclose(p.effects[0, 1], np.diag([0, 1, 1]))
+        assert np.allclose(p.effects[1, 0], np.diag([1, 0, 1]))
 
     def test_fourth_witness_effects(self):
         p = optimal_protocol("B4")
-        assert np.allclose(effect_of(p.instruments[0], "+").mat, np.diag([1, 0, 1]))
-        assert np.allclose(effect_of(p.instruments[1], "+").mat, np.diag([1, 0, 0]))
-        assert np.allclose(effect_of(p.instruments[1], "-").mat, np.diag([0, 1, 1]))
+        assert np.allclose(p.effects[0, 0], np.diag([1, 0, 1]))
+        assert np.allclose(p.effects[1, 0], np.diag([1, 0, 0]))
+        assert np.allclose(p.effects[1, 1], np.diag([0, 1, 1]))
+
+    def test_first_branch_moves_ground_to_level_one(self):
+        # The first measurement of the first optimal protocol answers "+"
+        # on |0> with unit probability and leaves |1>.
+        p = optimal_protocol("B1")
+        assert np.trace(p.effects[0, 0] @ p.initial_state.mat).real == pytest.approx(1.0)
+        assert np.allclose(p.preparations[0, 0], ketbra(3, 1, 1), atol=1e-12)
 
     def test_three_step_protocol_reuses_first(self):
         assert OPTIMAL_PULSES["T"] is OPTIMAL_PULSES["B1"]
@@ -97,9 +102,15 @@ class TestOptimalProtocols:
     def test_instruments_pass_completeness(self):
         for wid in OPTIMAL_PULSES:
             p = optimal_protocol(wid)
-            for instr in p.instruments.values():
-                total = sum(effect_of(instr, o).mat for o in instr.outcomes)
-                assert np.max(np.abs(total - identity(3))) < 1e-10
+            assert p.effects.shape == p.preparations.shape == (2, 2, 3, 3)
+            assert np.max(np.abs(p.effects.sum(axis=1) - identity(3))) < 1e-10
+
+    def test_arrays_are_read_only(self):
+        p = optimal_protocol("B1")
+        with pytest.raises(ValueError):
+            p.effects[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            p.preparations[0, 0, 0, 0] = 0.5
 
     def test_repeated_setting_is_deterministic_where_required(self):
         # Each witness demands a fixed outcome when the same setting is
@@ -140,26 +151,20 @@ class TestPhaseInvariance:
 
 class TestExtremalQubitEffects:
     def test_projective_identical_pair(self):
-        i0, i1 = extremal_qubit_effects(1.0, 1.0, 1.0)
-        assert np.allclose(
-            effect_of(i0, "+").mat, effect_of(i1, "+").mat, atol=1e-12
-        )
-        vals = np.linalg.eigvalsh(effect_of(i0, "+").mat)
+        m0, m1 = extremal_qubit_measurements(1.0, 1.0, 1.0)
+        assert np.allclose(m0.effect_bright.mat, m1.effect_bright.mat, atol=1e-12)
+        vals = np.linalg.eigvalsh(m0.effect_bright.mat)
         assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
 
     def test_trivial_measurement_at_zero(self):
-        i0, _ = extremal_qubit_effects(0.0, 0.5, 0.2)
-        assert np.allclose(effect_of(i0, "+").mat, identity(2), atol=1e-14)
-        assert np.allclose(effect_of(i0, "-").mat, 0.0, atol=1e-14)
+        m0, _ = extremal_qubit_measurements(0.0, 0.5, 0.2)
+        assert np.allclose(m0.effect("+").mat, identity(2), atol=1e-14)
+        assert np.allclose(m0.effect("-").mat, 0.0, atol=1e-14)
 
     def test_optimizer_argmax_family(self):
-        i0, i1 = extremal_qubit_effects(1.0, 1.0, -0.458)
-        for instr in (i0, i1):
-            total = sum(effect_of(instr, o).mat for o in instr.outcomes)
-            assert np.max(np.abs(total - identity(2))) < 1e-12
+        m0, m1 = extremal_qubit_measurements(1.0, 1.0, -0.458)
         cg = np.trace(
-            (2 * effect_of(i0, "+").mat - identity(2))
-            @ (2 * effect_of(i1, "+").mat - identity(2))
+            (2 * m0.effect("+").mat - identity(2)) @ (2 * m1.effect("+").mat - identity(2))
         ).real / 2
         assert cg == pytest.approx(-0.458, abs=1e-12)
 
@@ -174,20 +179,80 @@ class TestExtremalQubitEffects:
                 assert np.array_equal(total, identity(2))
 
     def test_instrument_effects_complete_within_tolerance(self):
+        # Stacked into a protocol, the pair passes its validation.
         rng = np.random.default_rng(14)
         for _ in range(20):
-            i0, i1 = extremal_qubit_effects(
+            pair = extremal_qubit_measurements(
                 rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1)
             )
-            for instr in (i0, i1):
-                total = effect_of(instr, "+").mat + effect_of(instr, "-").mat
-                assert np.max(np.abs(total - identity(2))) < 1e-10
+            p = Protocol(
+                initial_state=DensityMatrix.basis_state(2, 0),
+                effects=[[mp.effect(o).mat for o in ("+", "-")] for mp in pair],
+                preparations=[[mp.prepared_state.mat] * 2 for mp in pair],
+            )
+            assert np.max(np.abs(p.effects.sum(axis=1) - identity(2))) < 1e-10
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            extremal_qubit_effects(1.2, 0.5, 0.0)
+            extremal_qubit_measurements(1.2, 0.5, 0.0)
         with pytest.raises(ValueError):
-            extremal_qubit_effects(0.5, 0.5, -1.5)
+            extremal_qubit_measurements(0.5, 0.5, -1.5)
+
+
+class TestProtocolValidation:
+    @staticmethod
+    def arrays():
+        """A valid qubit protocol's effects and preparations: Z, then |0>."""
+        effects = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
+        return effects, np.array([[np.diag([1.0, 0.0])] * 2], dtype=complex)
+
+    def build(self, effects, preparations, initial=DensityMatrix.basis_state(2, 0)):
+        return Protocol(initial_state=initial, effects=effects, preparations=preparations)
+
+    def test_accepts_valid_arrays(self):
+        p = self.build(*self.arrays())
+        assert (p.dim, p.num_settings, p.outcomes) == (2, 1, ("+", "-"))
+
+    def test_outcome_labels_are_digits_beyond_two(self):
+        effects = np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3))
+        p = self.build(effects, np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3)),
+                       DensityMatrix.maximally_mixed(3))
+        assert p.outcomes == ("0", "1", "2")
+
+    def test_rejects_effects_not_summing_to_identity(self):
+        effects, preparations = self.arrays()
+        effects[0, 1] = np.diag([0.0, 0.5])
+        with pytest.raises(ValueError, match="sum to the identity"):
+            self.build(effects, preparations)
+
+    def test_rejects_effect_spectrum_outside_unit_interval(self):
+        effects, preparations = self.arrays()
+        effects[0] = [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]
+        with pytest.raises(ValueError, match="spectrum"):
+            self.build(effects, preparations)
+
+    def test_rejects_preparation_trace(self):
+        effects, preparations = self.arrays()
+        preparations[0, 1] = np.eye(2)
+        with pytest.raises(ValueError, match="trace"):
+            self.build(effects, preparations)
+
+    def test_rejects_preparation_negative_eigenvalue(self):
+        effects, preparations = self.arrays()
+        preparations[0, 0] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            self.build(effects, preparations)
+
+    def test_rejects_shape_mismatch(self):
+        effects, preparations = self.arrays()
+        with pytest.raises(ValueError, match="preparations have shape"):
+            self.build(effects, preparations[:, :1])
+        with pytest.raises(ValueError, match="shape"):
+            self.build(effects[0], preparations[0])
+
+    def test_rejects_initial_state_dimension(self):
+        with pytest.raises(ValueError, match="initial state has dim 3"):
+            self.build(*self.arrays(), DensityMatrix.basis_state(3, 0))
 
 
 class TestProtocolFiles:
@@ -202,13 +267,9 @@ class TestProtocolFiles:
         spec = parse_protocol_spec(format_protocol_spec(OPTIMAL_PULSES["B3"]))
         rebuilt = spec.build()
         reference = optimal_protocol("B3")
-        for s in (0, 1):
-            for o in ("+", "-"):
-                assert np.allclose(
-                    effect_of(rebuilt.instruments[s], o).mat,
-                    effect_of(reference.instruments[s], o).mat,
-                    atol=1e-12,
-                )
+        assert np.allclose(rebuilt.effects, reference.effects, atol=1e-12)
+        assert np.allclose(rebuilt.preparations, reference.preparations, atol=1e-12)
+        assert rebuilt.detection_kinds == reference.detection_kinds
 
     def test_rejects_unknown_key(self):
         text = "protocol v1\ndim: 3\ninitial: 0\ncolor: blue\n"

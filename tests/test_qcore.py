@@ -8,15 +8,11 @@ from temporalwitness.qcore import (
     DensityMatrix,
     DimensionMismatchError,
     Effect,
-    Instrument,
-    KrausMap,
     Unitary,
-    apply_map,
     basis_ket,
     bloch_effect,
     bloch_to_state,
     complement,
-    effect_of,
     identity,
     ketbra,
     pauli_matrices,
@@ -77,91 +73,6 @@ class TestEffect:
             assert np.array_equal(total, identity(2))
 
 
-class TestKrausAndInstrument:
-    def test_rejects_trace_increasing(self):
-        with pytest.raises(ValueError, match="trace-nonincreasing"):
-            KrausMap((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
-
-    def test_instrument_requires_completeness(self):
-        half = KrausMap((ketbra(2, 0, 0) / np.sqrt(2),))
-        with pytest.raises(ValueError, match="identity"):
-            Instrument(dim=2, outcomes=("+", "-"), maps={"+": half, "-": half})
-
-    def test_instrument_rejects_unknown_outcome_map(self):
-        kid = KrausMap((identity(2),))
-        with pytest.raises(ValueError, match="declared outcomes"):
-            Instrument(dim=2, outcomes=("+",), maps={"x": kid})
-
-    def test_effect_of_unknown_label(self):
-        kid = KrausMap((identity(2),))
-        zero = KrausMap((np.zeros((2, 2), dtype=complex),))
-        instr = Instrument(dim=2, outcomes=("+", "-"), maps={"+": kid, "-": zero})
-        with pytest.raises(KeyError):
-            effect_of(instr, "?")
-
-
-class TestApplyMap:
-    def test_identity_map(self):
-        rng = np.random.default_rng(4)
-        kid = KrausMap((identity(3),))
-        rho = random_state(rng, 3)
-        out = apply_map(kid, rho)
-        assert np.allclose(out, rho.mat, atol=1e-14)
-        assert out.trace().real == pytest.approx(1.0)
-
-    def test_rank_one_transfer(self):
-        kmap = KrausMap((ketbra(2, 1, 0),))
-        out = apply_map(kmap, DensityMatrix.basis_state(2, 0))
-        assert np.allclose(out, ketbra(2, 1, 1), atol=1e-14)
-        assert out.trace().real == pytest.approx(1.0)
-
-    def test_optimal_first_instrument_moves_ground_to_level_one(self):
-        # The first measurement of the first optimal protocol sends |0> to
-        # |1> on its "+" branch, with unit probability.
-        from temporalwitness.protocols import optimal_protocol
-
-        instr = optimal_protocol("B1").instruments[0]
-        out = apply_map(instr.maps["+"], DensityMatrix.basis_state(3, 0))
-        assert np.allclose(out, ketbra(3, 1, 1), atol=1e-12)
-        assert out.trace().real == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        kid = KrausMap((identity(3),))
-        with pytest.raises(DimensionMismatchError):
-            apply_map(kid, DensityMatrix.maximally_mixed(2))
-
-    def test_stacked_states_map_one_by_one(self):
-        from temporalwitness.protocols import optimal_protocol
-
-        rng = np.random.default_rng(6)
-        kmap = optimal_protocol("T").instruments[1].maps["-"]
-        stack = np.array([[random_state(rng, 3).mat for _ in range(4)] for _ in range(2)])
-        out = apply_map(kmap, stack)
-        assert out.shape == (2, 4, 3, 3)
-        for i in range(2):
-            for j in range(4):
-                assert np.allclose(out[i, j], apply_map(kmap, stack[i, j]), atol=1e-15)
-        with pytest.raises(DimensionMismatchError):
-            apply_map(kmap, stack[..., :2, :2])
-
-    def test_output_psd_and_trace_matches_effect(self):
-        rng = np.random.default_rng(5)
-        from temporalwitness.protocols import extremal_qubit_effects
-
-        for _ in range(25):
-            i0, i1 = extremal_qubit_effects(
-                rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1)
-            )
-            instr = i0 if rng.uniform() < 0.5 else i1
-            rho = random_state(rng, 2)
-            for label in instr.outcomes:
-                out = apply_map(instr.maps[label], rho)
-                lo = np.linalg.eigvalsh(out)[0]
-                assert lo >= -1e-10
-                p = probability(effect_of(instr, label), rho)
-                assert abs(out.trace().real - p) < 1e-12
-
-
 class TestProbability:
     def test_unit_effect(self):
         rng = np.random.default_rng(6)
@@ -176,7 +87,7 @@ class TestProbability:
         from temporalwitness.protocols import optimal_protocol
 
         protocol = optimal_protocol("B1")
-        e = effect_of(protocol.instruments[0], "+")
+        e = Effect(protocol.effects[0, 0])
         assert probability(e, protocol.initial_state) == pytest.approx(1.0, abs=1e-12)
 
     def test_clamps_roundoff(self):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from temporalwitness import polytope, protocols, simulator
-from temporalwitness.protocols import MeasureAndPrepare, optimal_protocol
-from temporalwitness.qcore import DensityMatrix, Effect, identity, probability
+from temporalwitness.protocols import optimal_protocol
+from temporalwitness.qcore import DensityMatrix, identity, probability
 from temporalwitness.simulator import (
     CorrelationTable,
     GuardExceeded,
@@ -34,18 +34,13 @@ NOISY_THREE_STEP = 2 * 0.96**3 + 4 * 0.96**2 * 0.98 + 2 * 0.96 * 0.98**2
 
 
 def trivial_qubit_protocol():
-    """Both settings always answer '+' and re-prepare the ground state."""
-    mp = MeasureAndPrepare(
-        effect_bright=Effect(identity(2)),
-        effect_dark=Effect(np.zeros((2, 2), dtype=complex)),
-        prepared_state=DensityMatrix.basis_state(2, 0),
-        bright_outcome="+",
-    )
-    instr = mp.to_instrument()
+    """Both settings always answer '+' and re-prepare the ground state; the
+    protocol carries no detection kinds."""
+    ground = DensityMatrix.basis_state(2, 0)
     return protocols.Protocol(
-        dim=2,
-        initial_state=DensityMatrix.basis_state(2, 0),
-        instruments={0: instr, 1: instr},
+        initial_state=ground,
+        effects=[[identity(2), np.zeros((2, 2))]] * 2,
+        preparations=[[ground.mat] * 2] * 2,
     )
 
 

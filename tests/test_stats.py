@@ -423,6 +423,24 @@ class TestCertify:
             certify(w, table_one_counts("B1"))
 
 
+class TestThreatModel:
+    def test_step_dependent_instruments_let_a_bit_reach_the_b1_maximum(self):
+        # A classical bit whose instruments change between steps: step 1
+        # always reports "+" and prepares the bit x1; step 2 reports "+" iff
+        # the bit equals x2. The verdict assumes time-independent
+        # instruments. Without them a bit reaches B1's algebraic maximum,
+        # the AoT constraints all hold, and the data "certify" a qutrit.
+        sc = Scenario(2, 2, 2)
+        history = np.zeros((2, 2, 2, 2))  # axes x1, a1, x2, a2
+        history[:, 0, :, 0] = np.eye(2)
+        history[:, 0, :, 1] = 1 - np.eye(2)
+        table = CorrelationTable(sc, sc.from_history(history))
+        assert simulator.evaluate_witness(get_witness("B1"), table) == 4.0
+        assert polytope.check_aot(table) == []
+        counts = CountsTable(sc, (table.probs * 1000).astype(np.int64))
+        assert certify(get_witness("B1"), counts).certified
+
+
 class TestSampleCounts:
     def test_deterministic_given_seed(self):
         table = noisy_table("B1")

@@ -3,8 +3,7 @@
 import numpy as np
 
 from temporalwitness import protocols
-from temporalwitness.protocols import OUTCOME_LABELS
-from temporalwitness.qcore import DensityMatrix, Effect, bloch_effect
+from temporalwitness.qcore import DensityMatrix, bloch_effect, pauli_matrices
 
 
 def random_pure_state(rng, dim):
@@ -12,38 +11,73 @@ def random_pure_state(rng, dim):
     return DensityMatrix.from_ket(ket)
 
 
+def random_state(rng, dim, mixed=False):
+    """A random pure state, or with ``mixed`` a random full-rank one."""
+    if not mixed:
+        return random_pure_state(rng, dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / rho.trace())
+
+
+def random_measurement(rng, outcomes, dim):
+    """Random effects of one setting, diagonal in one random basis: each
+    eigenvalue's unit weight is cut at sorted uniform points, and the last
+    effect is the identity minus the others."""
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    _, vecs = np.linalg.eigh(h + h.conj().T)
+    cuts = np.sort(rng.uniform(0, 1, size=(outcomes - 1, dim)), axis=0)
+    effects = [(vecs * w) @ vecs.conj().T for w in np.diff(cuts, axis=0, prepend=0.0)]
+    return effects + [np.eye(dim) - sum(effects)]
+
+
+def random_protocol(rng, settings, outcomes, dim, mixed=False):
+    """A random measure-and-prepare protocol whose preparations depend on
+    the outcome; with ``mixed``, the preparations and the initial state are
+    full-rank mixed states instead of pure ones."""
+    effects, preparations = [], []
+    for _ in range(settings):
+        effects.append(random_measurement(rng, outcomes, dim))
+        preparations.append([random_state(rng, dim, mixed).mat for _ in range(outcomes)])
+    return protocols.Protocol(
+        initial_state=random_state(rng, dim, mixed),
+        effects=effects,
+        preparations=preparations,
+    )
+
+
+def random_qutrit_protocol(rng):
+    """A random two-setting, two-outcome measure-and-prepare qutrit protocol."""
+    return random_protocol(rng, 2, 2, 3)
+
+
 def random_qubit_protocol(rng):
     """A random two-setting qubit protocol: arbitrary two-outcome effects
     with arbitrary (possibly outcome-dependent) pure re-preparations."""
-    instruments = {}
-    for setting in range(2):
+    effects, preparations = [], []
+    for _ in range(2):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         b = rng.uniform(0, 1)
         a = rng.uniform(0, 1 / (1 + b))
-        plus = bloch_effect(a, b, axis)
-        minus = Effect(np.eye(2) - plus.mat)
-        instruments[setting] = protocols.measure_and_prepare_instrument(
-            effects={"+": plus, "-": minus},
-            prepared={label: random_pure_state(rng, 2) for label in OUTCOME_LABELS},
-        )
+        plus = bloch_effect(a, b, axis).mat
+        effects.append([plus, np.eye(2) - plus])
+        preparations.append([random_pure_state(rng, 2).mat for _ in range(2)])
     return protocols.Protocol(
-        dim=2,
         initial_state=random_pure_state(rng, 2),
-        instruments=instruments,
+        effects=effects,
+        preparations=preparations,
     )
 
 
 def qubit_effect_parameters(protocol):
     """Recover (a0, b0, a1, b1, cos_gamma) of a random qubit protocol's
     "+" effects, for comparison against the parametrized bound."""
-    from temporalwitness.qcore import effect_of, pauli_matrices
-
     sig = pauli_matrices()
     params = []
     axes = []
     for setting in (0, 1):
-        mat = effect_of(protocol.instruments[setting], "+").mat
+        mat = protocol.effects[setting, 0]
         w = np.trace(mat).real / 2
         v = np.array([np.trace(s @ mat).real / 2 for s in sig])
         norm = np.linalg.norm(v)
@@ -54,24 +88,3 @@ def qubit_effect_parameters(protocol):
     cos_gamma = float(np.clip(axes[0] @ axes[1], -1.0, 1.0))
     (a0, b0), (a1, b1) = params
     return a0, b0, a1, b1, cos_gamma
-
-
-def random_qutrit_protocol(rng):
-    """A random two-setting measure-and-prepare qutrit protocol."""
-    instruments = {}
-    for setting in range(2):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = h + h.conj().T
-        _, vecs = np.linalg.eigh(h)
-        spectrum = rng.uniform(0, 1, size=3)
-        plus = Effect((vecs * spectrum) @ vecs.conj().T)
-        minus = Effect(np.eye(3) - plus.mat)
-        instruments[setting] = protocols.measure_and_prepare_instrument(
-            effects={"+": plus, "-": minus},
-            prepared={label: random_pure_state(rng, 3) for label in OUTCOME_LABELS},
-        )
-    return protocols.Protocol(
-        dim=3,
-        initial_state=random_pure_state(rng, 3),
-        instruments=instruments,
-    )
