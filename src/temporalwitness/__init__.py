@@ -7,16 +7,7 @@ dimension-dependent bounds, and certifies a minimal Hilbert-space dimension from
 
 __version__ = "0.1.0"
 
-from .qcore import (  # noqa: F401
-    DensityMatrix,
-    Effect,
-    Unitary,
-    bloch_effect,
-    bloch_to_state,
-    complement,
-    probability,
-    state_to_bloch,
-)
+from .qcore import bloch_to_state  # noqa: F401
 from .simulator import (  # noqa: F401
     CorrelationTable,
     ReadoutNoise,
@@ -29,7 +20,6 @@ from .simulator import (  # noqa: F401
     sequence_probabilities,
 )
 from .protocols import (  # noqa: F401
-    MeasureAndPrepare,
     Protocol,
     extremal_qubit_measurements,
     optimal_protocol,

@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
+# CPython writes ints of at most 4300 digits as text; a strategy count at
+# or past this trips the guard. Built once: the power costs 50 us.
+_UNPRINTABLE_COUNT = 10**4300
+
 
 # ---------------------------------------------------------------------------
 # Counts files
@@ -292,6 +296,11 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     else:
         raise ValueError("give a witness id or --scenario LENGTH SETTINGS OUTCOMES")
     n_strategies = polytope.num_deterministic_strategies(scenario)
+    if n_strategies >= _UNPRINTABLE_COUNT:
+        raise GuardExceeded(
+            f"{scenario.outcomes}^{polytope.strategy_exponent(scenario)} deterministic "
+            "strategies have too many digits to print"
+        )
     n_independent = polytope.independent_constraint_count(scenario)
     text = [
         f"scenario: length={scenario.length} settings={scenario.settings} "

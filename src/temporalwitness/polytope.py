@@ -142,9 +142,14 @@ class DeterministicStrategy:
         return tuple(out)
 
 
+def strategy_exponent(scenario: Scenario) -> int:
+    """``E`` in the strategy count ``d^E``: the number of setting prefixes,
+    each of which a deterministic strategy answers with one outcome."""
+    return sum(scenario.settings**t for t in range(1, scenario.length + 1))
+
+
 def num_deterministic_strategies(scenario: Scenario) -> int:
-    exponent = sum(scenario.settings**t for t in range(1, scenario.length + 1))
-    return scenario.outcomes**exponent
+    return scenario.outcomes ** strategy_exponent(scenario)
 
 
 def enumerate_deterministic_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
@@ -152,7 +157,7 @@ def enumerate_deterministic_strategies(scenario: Scenario) -> Iterator[Determini
     (earlier steps and earlier setting prefixes vary slowest)."""
     if num_deterministic_strategies(scenario) > ENUMERATION_GUARD:
         raise GuardExceeded(
-            f"{num_deterministic_strategies(scenario)} strategies exceed the guard"
+            f"{scenario.outcomes}^{strategy_exponent(scenario)} strategies exceed the guard"
         )
     per_step = [scenario.settings**t for t in range(1, scenario.length + 1)]
     tables = [

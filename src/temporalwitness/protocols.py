@@ -18,16 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .qcore import (
-    COMPLETENESS_TOL,
-    DensityMatrix,
-    Effect,
-    Unitary,
-    basis_ket,
-    identity,
-    ketbra,
-    pauli_matrices,
-)
+from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra, pauli_matrices
 
 OUTCOME_LABELS = ("+", "-")
 
@@ -62,7 +53,7 @@ class PhaseConfig:
     idle: tuple[float, float] = (0.0, 0.0)
 
 
-def _unitary_for(prim: PulsePrimitive, phases: PhaseConfig) -> Unitary:
+def _unitary_for(prim: PulsePrimitive, phases: PhaseConfig) -> np.ndarray:
     if prim is PulsePrimitive.PI01:
         return qcore.pi01(phases.pi01)
     if prim is PulsePrimitive.PI02:
@@ -79,46 +70,22 @@ def parse_pulse_token(token: str) -> PulsePrimitive:
     raise ValueError(f"unknown pulse token {token!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureAndPrepare:
-    """A two-outcome measurement followed by the preparation of a state
-    that depends only on the setting."""
-
-    effect_bright: Effect
-    effect_dark: Effect
-    prepared_state: DensityMatrix
-    bright_outcome: str
-
-    def __post_init__(self) -> None:
-        if self.bright_outcome not in OUTCOME_LABELS:
-            raise ValueError(f"bright outcome must be one of {OUTCOME_LABELS}")
-        total = self.effect_bright.mat + self.effect_dark.mat
-        if np.max(np.abs(total - identity(self.effect_bright.dim))) > 1e-12:
-            raise ValueError("bright and dark effects must sum to the identity")
-
-    def effect(self, outcome: str) -> Effect:
-        if outcome == self.bright_outcome:
-            return self.effect_bright
-        if outcome in OUTCOME_LABELS:
-            return self.effect_dark
-        raise KeyError(f"unknown outcome label {outcome!r}")
-
-    def detection_kind(self, outcome: str) -> str:
-        return BRIGHT if outcome == self.bright_outcome else DARK
-
-
 def measure_and_prepare_from_pulses(
     block: Sequence[PulsePrimitive],
     bright_outcome: str,
     phases: PhaseConfig = PhaseConfig(),
-) -> MeasureAndPrepare:
+) -> tuple[np.ndarray, np.ndarray]:
     """Interpret a measurement block ``U D C P0 U'`` on the qutrit.
 
     The detection discriminates level 0 against levels 1 and 2 after the
     first unitary, so the realized effects are ``U^dag (|1><1| + |2><2|) U``
     (bright) and ``U^dag |0><0| U`` (dark); both branches leave the system
-    in ``U' |0>``.
+    in ``U' |0>``. Returns the ``(2, 3, 3)`` effects in ``OUTCOME_LABELS``
+    order, with ``bright_outcome`` naming the bright one, and the
+    ``(3, 3)`` prepared state.
     """
+    if bright_outcome not in OUTCOME_LABELS:
+        raise ValueError(f"bright outcome must be one of {OUTCOME_LABELS}")
     block = tuple(block)
     if len(block) != 5:
         raise ValueError("measurement block must have exactly 5 primitives")
@@ -132,25 +99,21 @@ def measure_and_prepare_from_pulses(
         raise ValueError(
             "measurement block must match the grammar: unitary, D, C, P0, unitary"
         )
-    u = _unitary_for(block[0], phases).mat
-    u_prep = _unitary_for(block[4], phases).mat
-    bright_proj = ketbra(3, 1, 1) + ketbra(3, 2, 2)
-    dark_proj = ketbra(3, 0, 0)
-    prepared = DensityMatrix.from_ket(u_prep @ basis_ket(3, 0))
-    return MeasureAndPrepare(
-        effect_bright=Effect(u.conj().T @ bright_proj @ u),
-        effect_dark=Effect(u.conj().T @ dark_proj @ u),
-        prepared_state=prepared,
-        bright_outcome=bright_outcome,
-    )
+    u = _unitary_for(block[0], phases)
+    bright = u.conj().T @ (ketbra(3, 1, 1) + ketbra(3, 2, 2)) @ u
+    dark = u.conj().T @ ketbra(3, 0, 0) @ u
+    prepared = _unitary_for(block[4], phases) @ basis_ket(3, 0)
+    effects = (bright, dark) if bright_outcome == OUTCOME_LABELS[0] else (dark, bright)
+    return np.array(effects), np.outer(prepared, prepared.conj())
 
 
 @dataclass(frozen=True, eq=False)
 class Protocol:
-    """A measure-and-prepare protocol: the initial state and, for setting
-    ``x`` and outcome ``a``, the effect ``effects[x, a]`` that the step
-    measures and the state ``preparations[x, a]`` that it leaves behind.
-    Both arrays have shape ``(m, d, D, D)`` and are read-only.
+    """A measure-and-prepare protocol: the ``(D, D)`` initial state and,
+    for setting ``x`` and outcome ``a``, the effect ``effects[x, a]`` that
+    the step measures and the state ``preparations[x, a]`` that it leaves
+    behind. All three are plain complex arrays, the last two of shape
+    ``(m, d, D, D)``; construction checks them and stores read-only copies.
 
     A dimension verdict drawn from this protocol's tables rests on two
     assumptions, and is void without them:
@@ -164,12 +127,13 @@ class Protocol:
     maximum of B1, and its table passes every AoT constraint.
     """
 
-    initial_state: DensityMatrix
+    initial_state: np.ndarray
     effects: np.ndarray
     preparations: np.ndarray
     detection_kinds: dict[tuple[int, str], str] | None = None
 
     def __post_init__(self) -> None:
+        initial = np.array(self.initial_state, dtype=complex)
         effects = np.array(self.effects, dtype=complex)
         preparations = np.array(self.preparations, dtype=complex)
         shape = effects.shape
@@ -177,16 +141,19 @@ class Protocol:
             raise ValueError(f"effects must have shape (m, d, D, D) with d >= 2, got {shape}")
         if preparations.shape != shape:
             raise ValueError(f"preparations have shape {preparations.shape}, effects {shape}")
-        if self.initial_state.dim != shape[-1]:
-            raise ValueError(f"initial state has dim {self.initial_state.dim}, effects {shape[-1]}")
-        if not (np.isfinite(effects).all() and np.isfinite(preparations).all()):
-            raise ValueError("effects and preparations must be finite")
+        if initial.shape != shape[2:]:
+            raise ValueError(f"initial state has shape {initial.shape}, effects {shape}")
+        if not all(np.isfinite(arr).all() for arr in (initial, effects, preparations)):
+            raise ValueError("initial state, effects and preparations must be finite")
         qcore.check_effects(effects)
         dev = np.max(np.abs(effects.sum(axis=1) - identity(shape[-1])))
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"effects do not sum to the identity (deviation {dev:.3e})")
+        qcore.check_states(initial, "initial state")
         qcore.check_states(preparations, "preparation")
-        for name, arr in (("effects", effects), ("preparations", preparations)):
+        for name, arr in (
+            ("initial_state", initial), ("effects", effects), ("preparations", preparations)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -224,17 +191,18 @@ class ProtocolSpec:
     def build(self, phases: PhaseConfig = PhaseConfig()) -> Protocol:
         if self.dim != 3:
             raise ValueError("pulse-block protocols are defined on the qutrit")
-        measurements = [
+        steps = [
             measure_and_prepare_from_pulses(row.block, row.bright_outcome, phases)
             for row in self.rows
         ]
+        initial = basis_ket(self.dim, self.initial_level)
         return Protocol(
-            initial_state=DensityMatrix.basis_state(self.dim, self.initial_level),
-            effects=[[mp.effect(label).mat for label in OUTCOME_LABELS] for mp in measurements],
-            preparations=[[mp.prepared_state.mat] * 2 for mp in measurements],
+            initial_state=np.outer(initial, initial.conj()),
+            effects=np.array([effects for effects, _ in steps]),
+            preparations=np.array([[prepared, prepared] for _, prepared in steps]),
             detection_kinds={
-                (setting, label): mp.detection_kind(label)
-                for setting, mp in enumerate(measurements)
+                (setting, label): BRIGHT if label == row.bright_outcome else DARK
+                for setting, row in enumerate(self.rows)
                 for label in OUTCOME_LABELS
             },
         )
@@ -271,20 +239,18 @@ def optimal_protocol(witness_id: str, phases: PhaseConfig = PhaseConfig()) -> Pr
 # ---------------------------------------------------------------------------
 
 def extremal_qubit_measurements(
-    p: float,
-    q: float,
-    cos_gamma: float,
-    prepared: tuple[DensityMatrix, DensityMatrix] | None = None,
-) -> tuple[MeasureAndPrepare, MeasureAndPrepare]:
-    """The extremal two-outcome qubit measurement pair.
+    p: float, q: float, cos_gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The extremal two-outcome qubit measurement pair, as the ``(2, 2, 2,
+    2)`` arrays ``(effects, preparations)`` that :class:`Protocol` takes.
 
     Effects are ``E(+|0) = [(2-p) 1 + p c.sigma]/2`` and its complement
     (computed by exact subtraction, so the pair sums to the identity
     exactly), and the analogue with ``q`` and ``d``, where ``c`` points
     along the first axis and ``d`` lies in the 1-2 plane at relative angle
-    ``gamma``. The prepared states default to the Bloch vectors aligned
-    with ``+-(p X0 c - q X1 d)``, which realize the optimal qubit value of
-    the three-step witness; pass ``prepared`` to override.
+    ``gamma``. Setting 0 prepares, on either outcome, the Bloch vector
+    along ``p X0 c - q X1 d`` and setting 1 its opposite; these realize
+    the optimal qubit value of the three-step witness.
     """
     for name, val in (("p", p), ("q", q)):
         if not -1e-12 <= val <= 1.0 + 1e-12:
@@ -294,28 +260,21 @@ def extremal_qubit_measurements(
     d = np.array([cg, math.sqrt(max(0.0, 1.0 - cg * cg)), 0.0])
 
     sig = pauli_matrices()
-    plus0 = Effect(0.5 * ((2.0 - p) * identity(2) + p * np.einsum("i,ijk->jk", c, sig)))
-    plus1 = Effect(0.5 * ((2.0 - q) * identity(2) + q * np.einsum("i,ijk->jk", d, sig)))
+    plus = [
+        0.5 * ((2.0 - s) * identity(2) + s * np.einsum("i,ijk->jk", n, sig))
+        for s, n in ((p, c), (q, d))
+    ]
 
-    if prepared is None:
-        root = math.sqrt(max(0.0, p * p + q * q - 2.0 * p * q * cg))
-        x0 = 2.0 - p + q + root
-        x1 = p + 2.0 - q + root
-        axis = p * x0 * c - q * x1 * d
-        norm = float(np.linalg.norm(axis))
-        alpha = axis / norm if norm > 1e-12 else c
-        prepared = (qcore.bloch_to_state(alpha), qcore.bloch_to_state(-alpha))
+    root = math.sqrt(max(0.0, p * p + q * q - 2.0 * p * q * cg))
+    x0 = 2.0 - p + q + root
+    x1 = p + 2.0 - q + root
+    axis = p * x0 * c - q * x1 * d
+    norm = float(np.linalg.norm(axis))
+    alpha = axis / norm if norm > 1e-12 else c
+    prepared = (qcore.bloch_to_state(alpha), qcore.bloch_to_state(-alpha))
 
-    pair = tuple(
-        MeasureAndPrepare(
-            effect_bright=plus_effect,
-            effect_dark=qcore.complement(plus_effect),
-            prepared_state=prep,
-            bright_outcome="+",
-        )
-        for plus_effect, prep in zip((plus0, plus1), prepared)
-    )
-    return pair[0], pair[1]
+    effects = np.array([[e, identity(2) - e] for e in plus])
+    return effects, np.array([[prep, prep] for prep in prepared])
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ class Scenario:
             raise ValueError("need length >= 1, settings >= 1, outcomes >= 2")
         if self.num_setting_sequences * self.num_outcome_sequences > TABLE_GUARD:
             raise GuardExceeded(
-                f"table of {self.num_setting_sequences} x "
-                f"{self.num_outcome_sequences} entries exceeds the guard"
+                f"table of {self.settings}^{self.length} x "
+                f"{self.outcomes}^{self.length} entries exceeds the guard"
             )
 
     @property
@@ -334,7 +334,7 @@ def sequence_probabilities(protocol: Protocol, length: int) -> CorrelationTable:
     docstring, one broadcast product per level of the history tensor."""
     effects = protocol.effects
     scenario = Scenario(length=length, settings=effects.shape[0], outcomes=effects.shape[1])
-    probs = np.einsum("xaij,ji->xa", effects, protocol.initial_state.mat).real
+    probs = np.einsum("xaij,ji->xa", effects, protocol.initial_state).real
     transition = np.einsum("ybij,xaji->xayb", effects, protocol.preparations).real
     for _ in range(1, length):
         probs = probs[..., None, None] * transition

@@ -141,8 +141,8 @@ def _repetitions_for(
 ) -> int:
     if isinstance(repetitions, CountsTable):
         return int(repetitions.repetitions[encode_sequence(settings, scenario.settings)])
-    if isinstance(repetitions, int):
-        return repetitions
+    if isinstance(repetitions, (int, np.integer)):
+        return int(repetitions)
     return int(repetitions[settings])
 
 

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
-from temporalwitness.qcore import bloch_effect, complement, pauli_matrices
+from temporalwitness.qcore import PSD_TOL, check_bloch_parameters, identity, pauli_matrices
 from temporalwitness.simulator import (
     CorrelationTable,
     Scenario,
@@ -68,7 +68,7 @@ def sequence_probabilities(protocol, length):
                 if branch.trace().real > 1e-15:
                     descend(depth + 1, x_idx * m + x, a_idx * d + a, branch)
 
-    descend(0, 0, 0, np.asarray(protocol.initial_state.mat))
+    descend(0, 0, 0, protocol.initial_state)
     return CorrelationTable(scenario=scenario, probs=probs)
 
 
@@ -203,10 +203,22 @@ def nested_bound(witness, ops):
     return value(())
 
 
+def bloch_effect(a, b, n):
+    """Qubit effect ``a (1 + b n . sigma)`` with ``n`` a unit vector, for
+    ``b in [0, 1]`` and ``a in [0, 1/(1+b)]``."""
+    vec = np.asarray(n, dtype=float).reshape(-1)
+    if vec.shape != (3,):
+        raise ValueError("axis must have 3 components")
+    if abs(float(np.linalg.norm(vec)) - 1.0) > PSD_TOL:
+        raise ValueError("axis must be a unit vector")
+    check_bloch_parameters(a, b)
+    return a * (identity(2) + b * np.einsum("i,ijk->jk", vec, pauli_matrices()))
+
+
 def effect_four_vector(effect):
     """Coefficients ``(w, v)`` of an effect in the identity/Pauli basis."""
-    w = float(np.trace(effect.mat).real) / 2.0
-    v = [float(np.trace(s @ effect.mat).real) / 2.0 for s in pauli_matrices()]
+    w = float(np.trace(effect).real) / 2.0
+    v = [float(np.trace(s @ effect).real) / 2.0 for s in pauli_matrices()]
     return np.array([w, *v])
 
 
@@ -219,7 +231,7 @@ def effect_ops(a0, b0, a1, b1, cos_gamma):
     ops = []
     for a, b, axis in ((a0, b0, c), (a1, b1, d)):
         plus = bloch_effect(a, b, axis)
-        ops.append([effect_four_vector(plus), effect_four_vector(complement(plus))])
+        ops.append([effect_four_vector(plus), effect_four_vector(identity(2) - plus)])
     return np.array(ops)
 
 

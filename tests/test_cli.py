@@ -227,6 +227,24 @@ class TestPolytope:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_unprintable_strategy_count_trips_the_guard(self, capsys, fmt):
+        # 2^111110 strategies: the count has more digits than CPython
+        # writes, so the command stops before printing anything.
+        code, out, err = run(capsys, "polytope", "--scenario", "5", "10", "2", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "2^111110 deterministic strategies" in err
+
+    def test_unprintable_table_size_trips_the_guard(self, capsys):
+        code, out, err = run(capsys, "polytope", "--scenario", "5000", "10", "2")
+        assert (code, out) == (3, "")
+        assert "table of 10^5000 x 2^5000 entries exceeds the guard" in err
+
+    def test_long_strategy_count_still_prints(self, capsys):
+        code, out, _ = run(capsys, "polytope", "--scenario", "4", "10", "2")
+        assert code == 0
+        assert f"deterministic strategies: {2**11110}\n" in out
+
     def test_needs_witness_or_scenario(self, capsys):
         code, _, err = run(capsys, "polytope")
         assert code == 2

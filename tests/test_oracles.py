@@ -70,7 +70,7 @@ def test_reference_branches_measure_and_prepare(seed, dim, mixed):
     # map rho -> tr(E rho) sigma, which the Markov product assumes.
     rng = np.random.default_rng(seed)
     protocol = util.random_protocol(rng, 1, 3, dim, mixed)
-    rho = util.random_state(rng, dim, mixed=True).mat
+    rho = util.random_state(rng, dim, mixed=True)
     for effect, preparation in zip(protocol.effects[0], protocol.preparations[0]):
         ops = oracles.branch_kraus_operators(effect, preparation)
         out = sum(op @ rho @ op.conj().T for op in ops)

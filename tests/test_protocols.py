@@ -17,7 +17,7 @@ from temporalwitness.protocols import (
     parse_protocol_spec,
     parse_pulse_token,
 )
-from temporalwitness.qcore import DensityMatrix, identity, ketbra, probability
+from temporalwitness.qcore import basis_ket, identity, ketbra
 
 
 def block(tokens):
@@ -25,22 +25,23 @@ def block(tokens):
 
 
 class TestPulseGrammar:
+    # effects[a]: outcome a, with "+" at index 0.
     def test_b1_style_block(self):
-        mp = measure_and_prepare_from_pulses(block("pi02 D C P0 pi01"), "+")
-        assert np.allclose(mp.effect("+").mat, np.diag([1, 1, 0]), atol=1e-12)
-        assert np.allclose(mp.effect("-").mat, np.diag([0, 0, 1]), atol=1e-12)
-        assert np.allclose(mp.prepared_state.mat, ketbra(3, 1, 1), atol=1e-12)
+        effects, prepared = measure_and_prepare_from_pulses(block("pi02 D C P0 pi01"), "+")
+        assert np.allclose(effects[0], np.diag([1, 1, 0]), atol=1e-12)
+        assert np.allclose(effects[1], np.diag([0, 0, 1]), atol=1e-12)
+        assert np.allclose(prepared, ketbra(3, 1, 1), atol=1e-12)
 
     def test_idle_block_with_dark_plus(self):
-        mp = measure_and_prepare_from_pulses(block("I D C P0 pi01"), "-")
-        assert np.allclose(mp.effect("+").mat, np.diag([1, 0, 0]), atol=1e-12)
-        assert np.allclose(mp.effect("-").mat, np.diag([0, 1, 1]), atol=1e-12)
-        assert np.allclose(mp.prepared_state.mat, ketbra(3, 1, 1), atol=1e-12)
+        effects, prepared = measure_and_prepare_from_pulses(block("I D C P0 pi01"), "-")
+        assert np.allclose(effects[0], np.diag([1, 0, 0]), atol=1e-12)
+        assert np.allclose(effects[1], np.diag([0, 1, 1]), atol=1e-12)
+        assert np.allclose(prepared, ketbra(3, 1, 1), atol=1e-12)
 
     def test_pi01_block(self):
-        mp = measure_and_prepare_from_pulses(block("pi01 D C P0 pi02"), "+")
-        assert np.allclose(mp.effect("+").mat, np.diag([1, 0, 1]), atol=1e-12)
-        assert np.allclose(mp.prepared_state.mat, ketbra(3, 2, 2), atol=1e-12)
+        effects, prepared = measure_and_prepare_from_pulses(block("pi01 D C P0 pi02"), "+")
+        assert np.allclose(effects[0], np.diag([1, 0, 1]), atol=1e-12)
+        assert np.allclose(prepared, ketbra(3, 2, 2), atol=1e-12)
 
     def test_rejects_malformed_blocks(self):
         with pytest.raises(ValueError, match="5 primitives"):
@@ -49,6 +50,8 @@ class TestPulseGrammar:
             measure_and_prepare_from_pulses(block("pi02 C D P0 pi01"), "+")
         with pytest.raises(ValueError, match="grammar"):
             measure_and_prepare_from_pulses(block("D D C P0 pi01"), "+")
+        with pytest.raises(ValueError, match="bright outcome"):
+            measure_and_prepare_from_pulses(block("pi02 D C P0 pi01"), "0")
 
     def test_rejects_unknown_token(self):
         with pytest.raises(ValueError, match="unknown pulse token"):
@@ -84,7 +87,7 @@ class TestOptimalProtocols:
         # The first measurement of the first optimal protocol answers "+"
         # on |0> with unit probability and leaves |1>.
         p = optimal_protocol("B1")
-        assert np.trace(p.effects[0, 0] @ p.initial_state.mat).real == pytest.approx(1.0)
+        assert np.trace(p.effects[0, 0] @ p.initial_state).real == pytest.approx(1.0)
         assert np.allclose(p.preparations[0, 0], ketbra(3, 1, 1), atol=1e-12)
 
     def test_three_step_protocol_reuses_first(self):
@@ -93,7 +96,7 @@ class TestOptimalProtocols:
     def test_initial_state_is_ground(self):
         for wid in OPTIMAL_PULSES:
             p = optimal_protocol(wid)
-            assert np.allclose(p.initial_state.mat, ketbra(3, 0, 0))
+            assert np.array_equal(p.initial_state, ketbra(3, 0, 0))
 
     def test_unknown_witness(self):
         with pytest.raises(KeyError, match="no optimal protocol"):
@@ -111,24 +114,22 @@ class TestOptimalProtocols:
             p.effects[0, 0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             p.preparations[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            p.initial_state[0, 0] = 0.5
 
     def test_repeated_setting_is_deterministic_where_required(self):
         # Each witness demands a fixed outcome when the same setting is
         # repeated from its own post-measurement state.
         for wid, w in simulator.WITNESSES.items():
-            spec = OPTIMAL_PULSES[wid]
-            measurements = {
-                s: measure_and_prepare_from_pulses(row.block, row.bright_outcome)
-                for s, row in enumerate(spec.rows)
-            }
+            p = optimal_protocol(wid)
             for settings, outcomes, _ in w.terms:
                 for t in range(1, len(settings)):
                     if settings[t] == settings[t - 1]:
-                        mp = measurements[settings[t]]
-                        label = protocols.OUTCOME_LABELS[outcomes[t]]
-                        assert probability(
-                            mp.effect(label), measurements[settings[t - 1]].prepared_state
-                        ) == pytest.approx(1.0, abs=1e-12)
+                        effect = p.effects[settings[t], outcomes[t]]
+                        prepared = p.preparations[settings[t - 1], outcomes[t - 1]]
+                        assert np.trace(effect @ prepared).real == pytest.approx(
+                            1.0, abs=1e-12
+                        )
 
 
 class TestPhaseInvariance:
@@ -150,46 +151,43 @@ class TestPhaseInvariance:
 
 
 class TestExtremalQubitEffects:
+    # effects[x, a] and preparations[x, a], with "+" at a = 0.
     def test_projective_identical_pair(self):
-        m0, m1 = extremal_qubit_measurements(1.0, 1.0, 1.0)
-        assert np.allclose(m0.effect_bright.mat, m1.effect_bright.mat, atol=1e-12)
-        vals = np.linalg.eigvalsh(m0.effect_bright.mat)
+        effects, _ = extremal_qubit_measurements(1.0, 1.0, 1.0)
+        assert np.allclose(effects[0, 0], effects[1, 0], atol=1e-12)
+        vals = np.linalg.eigvalsh(effects[0, 0])
         assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
 
     def test_trivial_measurement_at_zero(self):
-        m0, _ = extremal_qubit_measurements(0.0, 0.5, 0.2)
-        assert np.allclose(m0.effect("+").mat, identity(2), atol=1e-14)
-        assert np.allclose(m0.effect("-").mat, 0.0, atol=1e-14)
+        effects, _ = extremal_qubit_measurements(0.0, 0.5, 0.2)
+        assert np.allclose(effects[0, 0], identity(2), atol=1e-14)
+        assert np.allclose(effects[0, 1], 0.0, atol=1e-14)
 
     def test_optimizer_argmax_family(self):
-        m0, m1 = extremal_qubit_measurements(1.0, 1.0, -0.458)
+        effects, _ = extremal_qubit_measurements(1.0, 1.0, -0.458)
         cg = np.trace(
-            (2 * m0.effect("+").mat - identity(2)) @ (2 * m1.effect("+").mat - identity(2))
+            (2 * effects[0, 0] - identity(2)) @ (2 * effects[1, 0] - identity(2))
         ).real / 2
         assert cg == pytest.approx(-0.458, abs=1e-12)
 
     def test_effects_sum_to_identity_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            m0, m1 = protocols.extremal_qubit_measurements(
+            effects, _ = protocols.extremal_qubit_measurements(
                 rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1)
             )
-            for mp in (m0, m1):
-                total = mp.effect_bright.mat + mp.effect_dark.mat
-                assert np.array_equal(total, identity(2))
+            for x in (0, 1):
+                assert np.array_equal(effects[x, 0] + effects[x, 1], identity(2))
 
     def test_instrument_effects_complete_within_tolerance(self):
-        # Stacked into a protocol, the pair passes its validation.
+        # The pair is what Protocol takes, and passes its validation.
         rng = np.random.default_rng(14)
         for _ in range(20):
-            pair = extremal_qubit_measurements(
+            effects, preparations = extremal_qubit_measurements(
                 rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1)
             )
-            p = Protocol(
-                initial_state=DensityMatrix.basis_state(2, 0),
-                effects=[[mp.effect(o).mat for o in ("+", "-")] for mp in pair],
-                preparations=[[mp.prepared_state.mat] * 2 for mp in pair],
-            )
+            p = Protocol(ketbra(2, 0, 0), effects, preparations)
+            assert p.effects.shape == p.preparations.shape == (2, 2, 2, 2)
             assert np.max(np.abs(p.effects.sum(axis=1) - identity(2))) < 1e-10
 
     def test_domain_errors(self):
@@ -206,7 +204,7 @@ class TestProtocolValidation:
         effects = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
         return effects, np.array([[np.diag([1.0, 0.0])] * 2], dtype=complex)
 
-    def build(self, effects, preparations, initial=DensityMatrix.basis_state(2, 0)):
+    def build(self, effects, preparations, initial=ketbra(2, 0, 0)):
         return Protocol(initial_state=initial, effects=effects, preparations=preparations)
 
     def test_accepts_valid_arrays(self):
@@ -215,8 +213,7 @@ class TestProtocolValidation:
 
     def test_outcome_labels_are_digits_beyond_two(self):
         effects = np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3))
-        p = self.build(effects, np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3)),
-                       DensityMatrix.maximally_mixed(3))
+        p = self.build(effects, np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3)), np.eye(3) / 3)
         assert p.outcomes == ("0", "1", "2")
 
     def test_rejects_effects_not_summing_to_identity(self):
@@ -251,8 +248,36 @@ class TestProtocolValidation:
             self.build(effects[0], preparations[0])
 
     def test_rejects_initial_state_dimension(self):
-        with pytest.raises(ValueError, match="initial state has dim 3"):
-            self.build(*self.arrays(), DensityMatrix.basis_state(3, 0))
+        with pytest.raises(ValueError, match=r"initial state has shape \(3, 3\)"):
+            self.build(*self.arrays(), ketbra(3, 0, 0))
+        with pytest.raises(ValueError, match=r"initial state has shape \(2,\)"):
+            self.build(*self.arrays(), basis_ket(2, 0))
+
+    def test_rejects_non_hermitian_initial_state(self):
+        with pytest.raises(ValueError, match="initial state is not Hermitian"):
+            self.build(*self.arrays(), np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    def test_rejects_initial_state_trace(self):
+        with pytest.raises(ValueError, match="initial state trace 2.0 is not 1"):
+            self.build(*self.arrays(), np.eye(2))
+
+    def test_rejects_initial_state_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="initial state has negative eigenvalue"):
+            self.build(*self.arrays(), np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            self.build(*self.arrays(), np.array([[1.0, bad], [bad, 0.0]]))
+
+    def test_stores_a_read_only_copy_of_the_initial_state(self):
+        initial = np.eye(2) / 2
+        p = self.build(*self.arrays(), initial)
+        initial[0, 0] = 0.0
+        assert np.array_equal(p.initial_state, np.eye(2) / 2)
+        assert p.initial_state.dtype == complex
+        with pytest.raises(ValueError):
+            p.initial_state[0, 0] = 0.5
 
 
 class TestProtocolFiles:

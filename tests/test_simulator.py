@@ -6,7 +6,7 @@ import pytest
 
 from temporalwitness import polytope, protocols, simulator
 from temporalwitness.protocols import optimal_protocol
-from temporalwitness.qcore import DensityMatrix, identity, probability
+from temporalwitness.qcore import identity, ketbra
 from temporalwitness.simulator import (
     CorrelationTable,
     GuardExceeded,
@@ -36,11 +36,11 @@ NOISY_THREE_STEP = 2 * 0.96**3 + 4 * 0.96**2 * 0.98 + 2 * 0.96 * 0.98**2
 def trivial_qubit_protocol():
     """Both settings always answer '+' and re-prepare the ground state; the
     protocol carries no detection kinds."""
-    ground = DensityMatrix.basis_state(2, 0)
+    ground = ketbra(2, 0, 0)
     return protocols.Protocol(
         initial_state=ground,
         effects=[[identity(2), np.zeros((2, 2))]] * 2,
-        preparations=[[ground.mat] * 2] * 2,
+        preparations=[[ground] * 2] * 2,
     )
 
 
@@ -161,23 +161,15 @@ class TestSequenceProbabilities:
 
     def test_measure_and_prepare_factorizes(self):
         # With setting-only preparations, p(ab|xy) = p(a|x) r(b|xy).
-        spec = protocols.OPTIMAL_PULSES["B4"]
-        measurements = {
-            s: protocols.measure_and_prepare_from_pulses(row.block, row.bright_outcome)
-            for s, row in enumerate(spec.rows)
-        }
         protocol = optimal_protocol("B4")
+        effects, preparations = protocol.effects, protocol.preparations
         table = sequence_probabilities(protocol, 2)
         for x in (0, 1):
             for y in (0, 1):
-                for a, la in enumerate(protocols.OUTCOME_LABELS):
-                    for b, lb in enumerate(protocols.OUTCOME_LABELS):
-                        first = probability(
-                            measurements[x].effect(la), protocol.initial_state
-                        )
-                        second = probability(
-                            measurements[y].effect(lb), measurements[x].prepared_state
-                        )
+                for a in (0, 1):
+                    for b in (0, 1):
+                        first = np.trace(effects[x, a] @ protocol.initial_state).real
+                        second = np.trace(effects[y, b] @ preparations[x, a]).real
                         assert table.prob((x, y), (a, b)) == pytest.approx(
                             first * second, abs=1e-12
                         )

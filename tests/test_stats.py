@@ -149,6 +149,10 @@ class TestHoeffding:
             w, 1000, ConfidenceSpec(0.68)
         )
 
+    def test_accepts_numpy_integers(self):
+        w = get_witness("B1")
+        assert hoeffding_halfwidth(w, np.int64(1000)) == hoeffding_halfwidth(w, 1000)
+
     def test_reads_repetitions_from_counts(self):
         counts = table_one_counts("B1")
         assert hoeffding_halfwidth(get_witness("B1"), counts) == pytest.approx(

@@ -2,13 +2,15 @@
 
 import numpy as np
 
+from oracles import bloch_effect
 from temporalwitness import protocols
-from temporalwitness.qcore import DensityMatrix, bloch_effect, pauli_matrices
+from temporalwitness.qcore import pauli_matrices
 
 
 def random_pure_state(rng, dim):
     ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityMatrix.from_ket(ket)
+    ket /= np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
 
 
 def random_state(rng, dim, mixed=False):
@@ -17,7 +19,7 @@ def random_state(rng, dim, mixed=False):
         return random_pure_state(rng, dim)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / rho.trace())
+    return rho / rho.trace()
 
 
 def random_measurement(rng, outcomes, dim):
@@ -38,7 +40,7 @@ def random_protocol(rng, settings, outcomes, dim, mixed=False):
     effects, preparations = [], []
     for _ in range(settings):
         effects.append(random_measurement(rng, outcomes, dim))
-        preparations.append([random_state(rng, dim, mixed).mat for _ in range(outcomes)])
+        preparations.append([random_state(rng, dim, mixed) for _ in range(outcomes)])
     return protocols.Protocol(
         initial_state=random_state(rng, dim, mixed),
         effects=effects,
@@ -60,9 +62,9 @@ def random_qubit_protocol(rng):
         axis /= np.linalg.norm(axis)
         b = rng.uniform(0, 1)
         a = rng.uniform(0, 1 / (1 + b))
-        plus = bloch_effect(a, b, axis).mat
+        plus = bloch_effect(a, b, axis)
         effects.append([plus, np.eye(2) - plus])
-        preparations.append([random_pure_state(rng, 2).mat for _ in range(2)])
+        preparations.append([random_pure_state(rng, 2) for _ in range(2)])
     return protocols.Protocol(
         initial_state=random_pure_state(rng, 2),
         effects=effects,
