@@ -11,11 +11,16 @@ chunks, guarded by ``GRID_GUARD_POINTS``, then Nelder-Mead from the best
 grid cells and from seeded random starts. One map, ``_effect_params``,
 turns box coordinates ``(s0, b0, s1, b1, cos_gamma)`` into effects; the
 closed form's extremal family is the ``s = 1`` face. The Nelder-Mead
-restarts run in lockstep on arrays: the live runs are the rows of one
-simplex array, and each iteration makes one speculative objective call on
-the reflection, expansion and both contraction points of every run. Each
-run keeps the values scipy's bounded Nelder-Mead would have computed and
-so takes its steps exactly; only shrinks need a second call.
+restarts run in lockstep: the live runs are the rows of one simplex array,
+and each iteration makes one speculative objective call on the reflection,
+expansion and both contraction points of every run. Each run keeps the
+values scipy's bounded Nelder-Mead would have computed and so takes its
+steps exactly; only shrinks need a second call. The float work (trial
+points, clipping, shrinks, sorting) stays on arrays, while the choice of
+step and the evaluation counts run per run on Python floats: a few runs
+crawl along the clipped ``s = 1`` corner for their whole budget with only
+a handful of points per call, so an iteration costs fixed call overhead,
+not arithmetic.
 
 The ``nested_generic`` value is a multistart optimum: a lower estimate of
 the qubit supremum of the witness, not a certified bound.
@@ -179,12 +184,12 @@ def nested_generic_bound(
 def _effect_ops(a0, b0, a1, b1, cg) -> np.ndarray:
     """The 4-vectors of ``E(+|0)``, ``E(-|0)``, ``E(+|1)``, ``E(-|1)`` as the
     rows of an ``(m d, 4, ...)`` array, batch axes last."""
-    a0, b0, a1, b1, cg = np.broadcast_arrays(a0, b0, a1, b1, cg)
-    x0 = a0 * b0
-    x1, y1 = a1 * b1 * cg, a1 * b1 * _clamped_sqrt(1.0 - cg * cg)
-    zero = np.zeros(a0.shape)
-    return np.array([[a0, x0, zero, zero], [1.0 - a0, -x0, zero, zero],
-                     [a1, x1, y1, zero], [1.0 - a1, -x1, -y1, zero]])
+    ops = np.zeros((4, 4) + np.broadcast(a0, b0, a1, b1, cg).shape)
+    ops[0, 0], ops[0, 1] = a0, a0 * b0
+    ops[2, 0], ops[2, 1], ops[2, 2] = a1, a1 * b1 * cg, a1 * b1 * _clamped_sqrt(1.0 - cg * cg)
+    ops[1::2, 0] = 1.0 - ops[::2, 0]
+    ops[1, 1], ops[3, 1:3] = -ops[0, 1], -ops[2, 1:3]
+    return ops
 
 
 def _effect_params(s0, b0, s1, b1, cg):
@@ -229,6 +234,15 @@ def _lockstep_nelder_mead(
     points of every row in one call of ``objective_batch``, which maps
     coordinate arrays to values elementwise, keeps the values scipy would
     have computed and counts only those calls. Shrinks take a second call.
+
+    The trial points, clipping, shrinks and the per-row ``argsort`` run on
+    the arrays. scipy's if/elif branch runs per live run on Python floats
+    (its trial values and its best, second-worst and worst vertex values),
+    and the run indices and evaluation counts are Python lists: with few
+    live runs, as in the long runs that crawl along a clipped corner, a
+    handful of comparisons costs less than the numpy calls of a mask per
+    branch. Convergence tests ``f[-1] - f[0] <= FATOL`` on each sorted row
+    first and measures the simplex spread only where that holds.
     """
     starts = np.array(starts, dtype=float)
     free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
@@ -239,8 +253,10 @@ def _lockstep_nelder_mead(
     upper = np.array([box[i][1] for i in free], dtype=float)
     n = len(free)
 
-    def minus_objective(owners, points):
-        full = starts[owners]
+    def minus_objective(runs, repeats, points):
+        if n == len(box):
+            return -objective_batch(points.T)
+        full = starts[np.repeat(runs, repeats)]
         full[:, free] = points
         return -objective_batch(full.T)
 
@@ -255,64 +271,85 @@ def _lockstep_nelder_mead(
     sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
     # Vertices pushed past the upper bound are reflected into the box.
     sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    rows = np.arange(len(starts))
+    rows = list(range(len(starts)))
     first = min(n + 1, budget)
     fsim = np.full((len(rows), n + 1), np.inf)
     fsim[:, :first] = minus_objective(
-        np.repeat(rows, first), sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
-    nfev = np.full(len(rows), first)
+        rows, first, sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
+    nfev = [first] * len(rows)
     # scipy sorts twice here; argsort need not keep ties in place.
     sim, fsim = sort(*sort(sim, fsim))
     results: list = [None] * len(rows)
     while True:
-        done = (nfev >= budget) | (
-            (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= XATOL)
-            & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= FATOL)
-        )
-        if done.any():
-            for k in np.flatnonzero(done):
+        # A sorted row's largest |f0 - fi| is f[-1] - f[0], bit for bit; the
+        # simplex spread is needed only where that passes.
+        converged = fsim[:, -1] - fsim[:, 0] <= FATOL
+        if converged.any():
+            converged[converged] = (
+                np.abs(sim[converged, 1:] - sim[converged, :1]).max(axis=(1, 2)) <= XATOL)
+        done = [k for k, (calls, stop) in enumerate(zip(nfev, converged.tolist()))
+                if stop or calls >= budget]
+        if done:
+            for k in done:
                 point = starts[rows[k]].copy()
                 point[free] = sim[k, 0]
-                results[rows[k]] = (float(-np.min(fsim[k])), point, int(nfev[k]))
-            if done.all():
+                results[rows[k]] = (float(-fsim[k, 0]), point, nfev[k])
+            if len(done) == len(rows):
                 return results
-            rows, sim, fsim, nfev = rows[~done], sim[~done], fsim[~done], nfev[~done]
+            live = sorted(set(range(len(rows))).difference(done))
+            sim, fsim = sim[live], fsim[live]
+            rows, nfev = [rows[k] for k in live], [nfev[k] for k in live]
 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = TRIAL_STEPS[:, 0] * xbar[:, None] - TRIAL_STEPS[:, 1] * sim[:, -1:]
         trial = np.clip(trial, lower, upper)
-        ftrial = minus_objective(np.repeat(rows, 4), trial.reshape(-1, n)).reshape(-1, 4)
-        fxr, fxe, fxc, fxcc = ftrial.T
-        # scipy's branches. With one call left its counter raises before an
-        # expansion or contraction call, so only an accepted reflection moves.
-        second = nfev < budget - 1
-        expand = second & (fxr < fsim[:, 0])
-        reflect = (fxr >= fsim[:, 0]) & (fxr < fsim[:, -2])
-        contract = second & ~expand & ~reflect
-        outside = fxr < fsim[:, -1]
-        to_e = expand & (fxe < fxr)
-        to_c = contract & outside & (fxc <= fxr)
-        to_cc = contract & ~outside & (fxcc < fsim[:, -1])
-        moved = expand | reflect | to_c | to_cc
-        pick = to_e + 2 * to_c + 3 * to_cc
-        sim[moved, -1] = trial[moved, pick[moved]]
-        fsim[moved, -1] = ftrial[moved, pick[moved]]
-        nfev += np.where(expand | contract, 2, 1)
-        shrink = contract & ~moved
-        if shrink.any():
+        ftrial = minus_objective(rows, 4, trial.reshape(-1, n)).reshape(-1, 4)
+        # scipy's branches on each run's trial values and its best, second
+        # worst and worst vertex values; ``pick`` indexes TRIAL_STEPS.
+        moved, picks, shrink = [], [], []
+        for k, ((fxr, fxe, fxc, fxcc), (best, second_worst, worst)) in enumerate(
+                zip(ftrial.tolist(), fsim[:, [0, -2, -1]].tolist())):
+            if best <= fxr < second_worst:
+                nfev[k] += 1
+                pick = 0
+            elif nfev[k] >= budget - 1:
+                # With one call left scipy's counter raises before an
+                # expansion or contraction call: nothing moves.
+                nfev[k] += 1
+                continue
+            else:
+                nfev[k] += 2
+                if fxr < best:
+                    pick = 1 if fxe < fxr else 0
+                elif fxr < worst:
+                    pick = 2 if fxc <= fxr else None
+                else:
+                    pick = 3 if fxcc < worst else None
+            if pick is None:
+                shrink.append(k)
+            else:
+                moved.append(k)
+                picks.append(pick)
+        if moved:
+            moved, picks = np.array(moved), np.array(picks)
+            sim[moved, -1] = trial[moved, picks]
+            fsim[moved, -1] = ftrial[moved, picks]
+        if shrink:
             # Shrink towards the best vertex, moving only evaluated vertices.
             # scipy also moves the one whose call would exceed the budget, but
             # the run then stops with its old value, never below the best one
             # at index 0, which argsort keeps first: no result reads that move.
-            calls = np.minimum(n, budget - nfev[shrink])
+            calls = [min(n, budget - nfev[k]) for k in shrink]
             part, fpart = sim[shrink], fsim[shrink]
             shrunk = np.clip(part[:, :1] + SIGMA * (part[:, 1:] - part[:, :1]), lower, upper)
-            evaluate = axis < calls[:, None]
+            evaluate = axis < np.array(calls)[:, None]
             if evaluate.any():
                 part[:, 1:][evaluate] = shrunk[evaluate]
                 fpart[:, 1:][evaluate] = minus_objective(
-                    np.repeat(rows[shrink], calls), shrunk[evaluate])
-            sim[shrink], fsim[shrink], nfev[shrink] = part, fpart, nfev[shrink] + calls
+                    [rows[k] for k in shrink], calls, shrunk[evaluate])
+            sim[shrink], fsim[shrink] = part, fpart
+            for k, c in zip(shrink, calls):
+                nfev[k] += c
         sim, fsim = sort(sim, fsim)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import util
-from temporalwitness import bounds, polytope, protocols, simulator, stats
+from temporalwitness import polytope, protocols, simulator, stats
 from temporalwitness.bounds import (
     nested_generic_bound,
     optimize_qubit_bound,

@@ -173,6 +173,21 @@ class TestBound:
         assert doc["seed"] == 7
         assert doc["method"] == "nested_generic"
 
+    @pytest.mark.parametrize("args,expected", [
+        (("T", "--method", "generic", "--seed", "1"),
+         {"evaluations": 122743, "value": 5.225659097611121,
+          "effect_params": [0.5, 1.0, 0.5, 1.0, -0.45812285014182225]}),
+        (("T", "--method", "closed"),
+         {"evaluations": 65629, "value": 5.22565909761112}),
+    ])
+    def test_machine_report_pinned(self, capsys, args, expected):
+        # The searches take scipy's Nelder-Mead steps exactly, so a change to
+        # their bookkeeping must leave every reported number as it is.
+        code, out, _ = run(capsys, "bound", *args, "--format", "machine")
+        assert code == 0
+        doc = json.loads(out)
+        assert {key: doc[key] for key in expected} == expected
+
     def test_grid_past_the_guard_exits_before_evaluating(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "_tee_closed_form_array",
                             lambda *z: pytest.fail("evaluated the grid"))

@@ -365,6 +365,18 @@ def test_lockstep_nelder_mead_runs_of_different_lengths(objective, num_starts, b
     assert any(2 < calls[-1] < 2 + len(box) for calls in per_run)
 
 
+def test_lockstep_nelder_mead_runs_the_full_budget_on_the_corner():
+    # Two of the seed-1 restarts of T crawl along the clipped s = 1 corner
+    # until the default budget of 2000 evaluations runs out.
+    box, objective_batch = refinement_problem("T")
+    lo, hi = np.array(box).T
+    starts = np.random.default_rng(1).uniform(lo, hi, (50, len(box)))[[37, 47]]
+    results = bounds._lockstep_nelder_mead(objective_batch, starts, box, 2000)
+    assert [nfev for _, _, nfev in results] == [2000, 2000]
+    assert all(point[:4].min() > 1.0 - 1e-12 for _, point, _ in results)
+    assert_lockstep_matches_scipy(objective_batch, starts, box, 2000)
+
+
 def test_lockstep_nelder_mead_without_free_axes():
     _, objective_batch = refinement_problem("closed")
     box = ((0.25, 0.25), (0.5, 0.5), (-0.5, -0.5))

@@ -9,7 +9,6 @@ from temporalwitness.protocols import (
     OPTIMAL_PULSES,
     PhaseConfig,
     Protocol,
-    PulsePrimitive,
     extremal_qubit_measurements,
     format_protocol_spec,
     measure_and_prepare_from_pulses,
