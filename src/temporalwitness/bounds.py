@@ -29,15 +29,21 @@ Every 2x2 operator that appears is a real combination of the identity and
 Pauli matrices, so operators are carried as coefficient 4-vectors
 ``(w, v1, v2, v3)`` with largest eigenvalue ``w + |v|``; this keeps the
 objective cheap enough for exhaustive grids. The effects are laid out batch
-last, ``(m d, 4, points)``, so each level of the nested bound is one product
-and one sum over the ``(x, a)`` axis, which numpy adds in index order.
+last, ``(m d, 4, points)``. The nested bound walks a level plan built once
+per witness by ``_nested_plan``: the histories whose value can be nonzero,
+level by level, with each one's children as rows of the level after and a
+shared zero row for those that are not planned. Each level is one gather,
+one product and one sum over the ``(x, a)`` axis, which numpy adds in index
+order, over the planned histories only: T keeps 4 of 16, 2 of 4 and the
+root, B1-B4 2 of 4 and the root. A skipped history's value is an exact
+``+0`` on the dense tree as well, so every value keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +53,11 @@ from .simulator import GuardExceeded, Witness
 # Seed for the randomized restarts of the generic optimizer; fixed so that
 # reported traces are reproducible.
 DEFAULT_SEED = 20240601
-# Cells of the objective's temporaries per batch of an exhaustive grid.
+# Cells of the objective's temporaries per batch of an exhaustive grid. The
+# generic grid's chunks stay sized by the dense history tensor, though the
+# nested bound touches only its planned rows. Chunks sized from the plan, 4
+# times as many points for T, took as long on its 10^5-point grid and raised
+# the peak RSS of ``bound T --method generic`` by 5 MB (2-core x86 VM).
 GRID_CHUNK_CELLS = 1 << 19
 # Grid points beyond which a search raises GuardExceeded before allocating.
 # At the guard (2-core x86 VM) the closed form's 215^3 grid takes 2.1 s and
@@ -133,22 +143,65 @@ def _tee_closed_form_array(p, q, cg):
 # Nested max-eigenvalue bound for fixed effects
 # ---------------------------------------------------------------------------
 
-def _nested_bound(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Backward loop over the levels of the measurement tree.
+class _NestedPlan(NamedTuple):
+    """The histories of a coefficient tensor whose value can be nonzero.
 
-    ``coeffs`` is a witness's coefficient history tensor and
-    ``ops[x d + a, :, ...]`` the 4-vector of effect ``a|x``, with the batch
-    axes last. Each level multiplies the last ``(x, a)`` pair of the values
-    into the effects and sums it out in index order; the value of a history
-    is the largest eigenvalue of that sum, which for ``w 1 + v.sigma`` is
-    ``w + |v|``.
+    ``rows`` are the nonzero rows of ``coeffs.reshape(-1, m d)``, the
+    histories one step short of the end, and ``coeff_rows`` their
+    coefficients. ``steps`` runs from the step before the last back to the
+    root: each ``(parents, children)`` pair lists the histories with at
+    least one planned child and, per ``(x, a)``, that child's row in the
+    values of the step after, where a missing child points at one zero row
+    appended after them.
     """
-    md = ops.shape[0]
-    values = coeffs.reshape((-1,) + (1,) * (ops.ndim - 2))
-    for _ in range(coeffs.ndim // 2):
-        op = np.add.reduce(values.reshape((-1, md, 1) + values.shape[1:]) * ops, axis=1)
-        values = op[:, 0] + np.sqrt(np.add.reduce(op[:, 1:] ** 2, axis=1))
-    return values[0]
+
+    rows: np.ndarray
+    coeff_rows: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _nested_plan(coeffs: np.ndarray) -> _NestedPlan:
+    """The level plan of a witness's coefficient history tensor."""
+    md = coeffs.shape[0] * coeffs.shape[1]
+    flat = coeffs.reshape(-1, md)
+    rows = np.flatnonzero(flat.any(axis=1))
+    live, steps = rows, []
+    for _ in range(coeffs.ndim // 2 - 1):
+        parents = np.unique(live // md)
+        children = np.full((len(parents), md), len(live))
+        children[np.searchsorted(parents, live // md), live % md] = np.arange(len(live))
+        steps.append((parents, children))
+        live = parents
+    return _NestedPlan(rows, flat[rows], tuple(steps))
+
+
+def _nested_bound(plan: _NestedPlan, ops: np.ndarray) -> np.ndarray:
+    """Backward loop over the planned levels of the measurement tree.
+
+    ``ops[x d + a, :, ...]`` is the 4-vector of effect ``a|x``, with the
+    batch axes last. Each level multiplies the values of a history's
+    children into the effects and sums out ``(x, a)`` in index order; the
+    value of a history is the largest eigenvalue of that sum, which for
+    ``w 1 + v.sigma`` is ``w + |v|``. A history outside the plan has value
+    ``+0`` on the dense tree too, since its terms are all ``0 E``, so the
+    plan skips only exact zeros and every value keeps its bits.
+    """
+    batch = ops.shape[2:]
+    children = plan.coeff_rows.reshape(plan.coeff_rows.shape + (1,) * (len(batch) + 1))
+    for _, index in plan.steps:
+        # One zero row after the level's values stands for every unplanned child.
+        values = np.zeros((len(children) + 1,) + batch)
+        _level_values(children, ops, out=values[:-1])
+        children = values[index][:, :, None]
+    values = _level_values(children, ops)
+    # With nothing planned the root is unplanned too: an exact zero.
+    return values[0] if len(values) else np.zeros(batch)
+
+
+def _level_values(children, ops, out=None):
+    """Each row's largest eigenvalue of ``sum_(x, a) child E(a|x)``."""
+    op = np.add.reduce(children * ops, axis=1)
+    return np.add(op[:, 0], np.sqrt(np.add.reduce(op[:, 1:] ** 2, axis=1)), out=out)
 
 
 def _check_two_setting_binary(witness: Witness) -> None:
@@ -178,7 +231,8 @@ def nested_generic_bound(
     cg = qcore.clamp_cos_gamma(cos_gamma)
     qcore.check_bloch_parameters(a0, b0)
     qcore.check_bloch_parameters(a1, b1)
-    return float(_nested_bound(witness.coefficients, _effect_ops(a0, b0, a1, b1, cg)))
+    plan = _nested_plan(witness.coefficients)
+    return float(_nested_bound(plan, _effect_ops(a0, b0, a1, b1, cg)))
 
 
 def _effect_ops(a0, b0, a1, b1, cg) -> np.ndarray:
@@ -367,7 +421,9 @@ def _multistart(
     at ``cells_per_point`` cells per point, then lockstep Nelder-Mead from
     the ten best cells and ``restarts`` seeded uniform starts. Returns the
     best value, its point and the number of objective evaluations. A grid of
-    more than ``GRID_GUARD_POINTS`` points raises :class:`GuardExceeded`."""
+    more than ``GRID_GUARD_POINTS`` points, or more starts than leave
+    ``(10 + restarts) * budget`` refinement points under it, raises
+    :class:`GuardExceeded` before anything is evaluated."""
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1 point per axis")
     if restarts < 0:
@@ -378,16 +434,25 @@ def _multistart(
     size = math.prod(shape)
     if size > GRID_GUARD_POINTS:
         raise GuardExceeded(f"a grid of {size} points exceeds the guard of {GRID_GUARD_POINTS}")
+    # A start evaluates at most ``budget`` points and every start's initial
+    # simplex goes into one call, so the same guard caps the refinement.
+    if (10 + restarts) * budget > GRID_GUARD_POINTS:
+        raise GuardExceeded(
+            f"{10 + restarts} refinement starts of up to {budget} evaluations each "
+            f"exceed the guard of {GRID_GUARD_POINTS} points"
+        )
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
 
     def grid_points(index):
         return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))]
 
     chunk = max(1, GRID_CHUNK_CELLS // cells_per_point)
-    flat = np.concatenate([
-        objective_batch(grid_points(np.arange(lo, min(lo + chunk, size))))
-        for lo in range(0, size, chunk)
-    ])
+    # Filled in place: a list of chunk values and its concatenation would
+    # hold the grid's values twice.
+    flat = np.empty(size)
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        flat[lo:hi] = objective_batch(grid_points(np.arange(lo, hi)))
     order = np.argsort(flat)[::-1][:10]
     lower, upper = np.transpose(box)
     starts = [*np.stack(grid_points(order), axis=1),
@@ -442,10 +507,12 @@ def optimize_qubit_bound(
     """
     _check_two_setting_binary(witness)
     coeffs = witness.coefficients
+    plan = _nested_plan(coeffs)
     value, point, evaluations = _multistart(
-        lambda z: _nested_bound(coeffs, _effect_ops(*_effect_params(*z))),
+        lambda z: _nested_bound(plan, _effect_ops(*_effect_params(*z))),
         ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)),
-        # A level product holds 4 cells per entry of the history tensor.
+        # Chunks are sized by the dense level product, 4 cells per entry of
+        # the history tensor (see GRID_CHUNK_CELLS).
         grid_resolution, 4 * coeffs.size, restarts, seed, refinement_budget,
     )
     s0, b0, s1, b1, cg = (float(v) for v in point)

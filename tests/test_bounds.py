@@ -238,6 +238,20 @@ class TestMultistart:
         with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
             optimize_tee_bound(grid_resolution=21)
 
+    def test_guard_counts_refinement_points(self, monkeypatch):
+        def objective(z):
+            raise AssertionError("evaluated the objective")
+
+        monkeypatch.setattr(bounds, "GRID_GUARD_POINTS", 120)
+        box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+        with pytest.raises(simulator.GuardExceeded,
+                           match="12 refinement starts of up to 11 evaluations each exceed"):
+            bounds._multistart(objective, box, 2, 1, 2, None, 11)
+        # (10 + 2) starts of 10 evaluations sit at the guard and run.
+        result = optimize_qubit_bound(get_witness("B1"), restarts=2, grid_resolution=2,
+                                      refinement_budget=10)
+        assert 2**5 < result.evaluations <= 2**5 + 120
+
     @pytest.mark.parametrize("resolution", [216, 1000])
     def test_guard_trips_before_the_grid(self, resolution):
         def objective(z):

@@ -177,6 +177,16 @@ class TestBound:
         (("T", "--method", "generic", "--seed", "1"),
          {"evaluations": 122743, "value": 5.225659097611121,
           "effect_params": [0.5, 1.0, 0.5, 1.0, -0.45812285014182225]}),
+        (("B1", "--method", "generic", "--seed", "1"),
+         {"evaluations": 113296, "value": 3.0, "effect_params": [0.5, 1.0, 1.0, 0.0, 1.0]}),
+        (("B2", "--method", "generic", "--seed", "1"),
+         {"evaluations": 111033, "value": 3.0, "effect_params": [0.5, 1.0, 1.0, 0.0, -1.0]}),
+        (("B3", "--method", "generic", "--seed", "1"),
+         {"evaluations": 121763, "value": 3.186227883702518,
+          "effect_params": [0.5, 1.0, 0.5, 1.0, 0.7562852080007836]}),
+        (("B4", "--method", "generic", "--seed", "1"),
+         {"evaluations": 121723, "value": 3.186227883702518,
+          "effect_params": [0.5, 1.0, 0.5, 1.0, 0.7562852069971163]}),
         (("T", "--method", "closed"),
          {"evaluations": 65629, "value": 5.22565909761112}),
     ])
@@ -197,6 +207,17 @@ class TestBound:
         assert code == 3
         assert out == ""
         assert "exceeds the guard" in err
+
+    def test_restarts_past_the_guard_exit_before_evaluating(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "_nested_bound",
+                            lambda *a: pytest.fail("evaluated the objective"))
+        code, out, err = run(
+            capsys, "bound", "T", "--method", "generic", "--restarts", "100000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert "100000010 refinement starts" in err
+        assert "exceed the guard" in err
 
     @pytest.mark.parametrize("resolution", ["0", "1000"])
     def test_generic_grid_outside_range_rejected(self, capsys, monkeypatch, resolution):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import chdtrc, ndtri
@@ -215,20 +215,58 @@ def test_sample_counts_match_row_loop(seed, dims, shots):
 
 @ORACLE
 @given(seed=seeds, length=st.integers(1, 3), num_terms=st.integers(1, 12),
+       kind=st.sampled_from(["random", "single", "cancelled"]),
        batch=st.sampled_from([(), (3,), (2, 2)]))
-def test_nested_bound_matches_recursion(seed, length, num_terms, batch):
+# The drawn examples are mostly short; these reach plans with several
+# planned rows at every level.
+@example(seed=1, length=3, num_terms=6, kind="random", batch=(3,))
+@example(seed=2, length=3, num_terms=12, kind="random", batch=(2, 2))
+def test_nested_bound_matches_recursion(seed, length, num_terms, kind, batch):
     rng = np.random.default_rng(seed)
+    if kind == "single":
+        num_terms = 1
     witness = random_witness(rng, Scenario(length, 2, 2), num_terms, integer=False)
+    if kind == "cancelled":
+        # Each term is followed by its negation, so every cell sums to an
+        # exact zero: an all-zero tensor with no planned rows.
+        terms = tuple(t for s, o, c in witness.terms for t in ((s, o, c), (s, o, -c)))
+        witness = Witness(id="random", scenario=witness.scenario, terms=terms)
+    plan = bounds._nested_plan(witness.coefficients)
+    assert (len(plan.rows) == 0) == (kind == "cancelled")
     lo = np.array([0.0, 0.0, 0.0, 0.0, -1.0]).reshape((5,) + (1,) * len(batch))
     z = lo + (1.0 - lo) * rng.random((5,) + batch)
     ops = bounds._effect_ops(*bounds._effect_params(*z))
     # The oracle takes the effects batch first, as ``ops[..., x, a, :]``.
     batch_first = np.moveaxis(ops, (0, 1), (-2, -1)).reshape(batch + (2, 2, 4))
-    # The same products and sums in the same order: equal to the last bit.
+    # The same products and sums in the same order, skipping only exact
+    # zeros: equal to the last bit.
     assert np.array_equal(
-        bounds._nested_bound(witness.coefficients, ops),
+        bounds._nested_bound(plan, ops),
         oracles.nested_bound(witness, batch_first),
     )
+
+
+@pytest.mark.parametrize("name,planned,histories", [
+    ("T", [4, 2, 1], [16, 4, 1]), *((b, [2, 1], [4, 1]) for b in ("B1", "B2", "B3", "B4")),
+])
+def test_nested_plan_of_registry_witnesses(name, planned, histories):
+    coeffs = simulator.get_witness(name).coefficients
+    plan = bounds._nested_plan(coeffs)
+    flat = coeffs.reshape(-1, 4)
+    assert len(flat) == histories[0]
+    assert np.array_equal(plan.rows, np.flatnonzero(flat.any(axis=1)))
+    assert np.array_equal(plan.coeff_rows, flat[plan.rows])
+    assert [len(plan.rows)] + [len(parents) for parents, _ in plan.steps] == planned
+    below = plan.rows
+    for (parents, children), size in zip(plan.steps, histories[1:]):
+        assert parents.max() < size
+        # Child (x, a) of a parent is its planned history, or the zero row
+        # after the planned ones.
+        for parent, row in zip(parents, children):
+            for xa, k in enumerate(row):
+                expected = np.flatnonzero(below == 4 * parent + xa)
+                assert [k] == (list(expected) or [len(below)])
+        below = parents
 
 
 @ORACLE
@@ -280,9 +318,9 @@ def refinement_problem(name):
     a registry witness, or the closed form of the three-step witness."""
     if name == "closed":
         return TEE_BOX, lambda z: bounds._tee_closed_form_array(*z)
-    coeffs = simulator.get_witness(name).coefficients
+    plan = bounds._nested_plan(simulator.get_witness(name).coefficients)
     return QUBIT_BOX, lambda z: bounds._nested_bound(
-        coeffs, bounds._effect_ops(*bounds._effect_params(*z)))
+        plan, bounds._effect_ops(*bounds._effect_params(*z)))
 
 
 def bits(x):
