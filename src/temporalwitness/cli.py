@@ -24,6 +24,7 @@ from .simulator import (
     CorrelationTable,
     GuardExceeded,
     Scenario,
+    entry_texts,
     format_header,
     sequence_indexers,
     sequence_labels,
@@ -59,7 +60,8 @@ def format_counts_file(
 def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     """Parse a counts file; returns the table and the optional witness id.
 
-    The format is strict: unknown keys are rejected, every setting sequence
+    The format is strict: unknown keys are rejected, no header key and no
+    key or outcome label within a record may repeat, every setting sequence
     must appear exactly once, and each record's outcome counts must sum to
     its declared ``n``.
     """
@@ -74,6 +76,8 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
         key = key.strip()
         if not sep or key not in ("length", "settings", "outcomes", "witness"):
             raise ValueError(f"unknown counts-file key {key!r}")
+        if key in header:
+            raise ValueError(f"repeated counts-file key {key!r}: {lines[pos]!r}")
         header[key] = rest.strip()
         pos += 1
     try:
@@ -101,18 +105,32 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
         seen.add(x_idx)
         pos += 1
         declared_n: int | None = None
+        # One flag per key and per outcome label: a repeated line would
+        # otherwise overwrite the first, so a second `discarded: 0` could
+        # hide discards.
+        has_discarded = False
+        has_outcome = [False] * scenario.num_outcome_sequences
         while pos < len(lines) and not lines[pos].startswith("sequence:"):
             ln = lines[pos]
             key, sep, rest = ln.partition(":")
             if sep and key.strip() == "n":
+                if declared_n is not None:
+                    raise ValueError(f"record {x_txt!r} repeats 'n': {ln!r}")
                 declared_n = int(rest.strip())
             elif sep and key.strip() == "discarded":
+                if has_discarded:
+                    raise ValueError(f"record {x_txt!r} repeats 'discarded': {ln!r}")
+                has_discarded = True
                 discarded[x_idx] = int(rest.strip())
             else:
                 parts = ln.split()
                 if len(parts) != 2:
                     raise ValueError(f"malformed counts line {ln!r}")
-                counts[x_idx, outcome_index(parts[0])] = int(parts[1])
+                a_idx = outcome_index(parts[0])
+                if has_outcome[a_idx]:
+                    raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
+                has_outcome[a_idx] = True
+                counts[x_idx, a_idx] = int(parts[1])
             pos += 1
         if declared_n is None:
             raise ValueError(f"record {x_txt!r} is missing 'n'")
@@ -171,9 +189,9 @@ def _table_rows(table: CorrelationTable) -> _JSONText:
     x_labels, a_labels = sequence_labels(table.scenario)
     heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
     tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
-    return _JSONText("[" + ", ".join([head + repr(p) + tail
-                                      for tail, row in zip(tails, table.probs.tolist())
-                                      for head, p in zip(heads, row)]) + "]")
+    return _JSONText("[" + ", ".join([head + p_txt + tail
+                                      for tail, row in zip(tails, entry_texts(table, repr))
+                                      for head, p_txt in zip(heads, row)]) + "]")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ the tensor, broadcast over its earlier steps, by the transition tensor
 The text labels of the cells come from one enumeration per scenario,
 :func:`sequence_labels`, in index order: the table and counts-file writers
 zip them with the rows, and the readers map labels back to indices
-(:func:`sequence_indexers`).
+(:func:`sequence_indexers`). The entries' text comes from
+:func:`entry_texts`, which formats each distinct entry once, keyed on its
+bits: a table of Markov products repeats its entries (163 distinct of 4,096
+for the T protocol at length 6 with readout noise). The readers reject a
+repeated header key, quoting the line.
 """
 
 from __future__ import annotations
@@ -426,11 +430,28 @@ def format_header(kind: str, scenario: Scenario) -> list[str]:
             f"outcomes: {scenario.outcomes}"]
 
 
+def entry_texts(table: CorrelationTable, fmt: Callable[[float], str]) -> list[list[str]]:
+    """``fmt`` of every entry of the table, as rows of text in index order.
+
+    A measure-and-prepare table is a product of a few per-step factors, so
+    its entries repeat: ``fmt`` runs once per distinct entry. Entries are
+    told apart by their bits, not their values, so ``-0.0`` keeps its own
+    text. Both outputs of ``np.unique`` come from one flat array, so the
+    inverse is flat whatever shape numpy gives it for other inputs.
+    """
+    bits, inverse = np.unique(table.probs.ravel().view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].reshape(table.probs.shape).tolist()
+
+
 def format_correlation_table(table: CorrelationTable) -> str:
+    """The table file: the header, then one ``settings outcomes p`` line per
+    cell with ``p`` to 12 significant digits (``"%.12g" % p`` is
+    ``f"{p:.12g}"`` and is cheaper to call)."""
     lines = format_header("correlation-table", table.scenario)
     x_labels, a_labels = sequence_labels(table.scenario)
-    for x_txt, row in zip(x_labels, table.probs.tolist()):
-        lines += [f"{x_txt} {a_txt} {p:.12g}" for a_txt, p in zip(a_labels, row)]
+    for x_txt, row in zip(x_labels, entry_texts(table, "%.12g".__mod__)):
+        lines += map(" ".join, zip(itertools.repeat(x_txt), a_labels, row))
     return "\n".join(lines) + "\n"
 
 
@@ -445,6 +466,8 @@ def parse_correlation_table(text: str) -> CorrelationTable:
         key, sep, rest = ln.partition(":")
         if not sep or key.strip() not in ("length", "settings", "outcomes"):
             break
+        if key.strip() in header:
+            raise ValueError(f"repeated table-file key {key.strip()!r}: {ln!r}")
         header[key.strip()] = int(rest.strip())
         body_start += 1
     if set(header) != {"length", "settings", "outcomes"}:

@@ -421,6 +421,8 @@ def parse_correlation_table(text):
         key, sep, rest = ln.partition(":")
         if not sep or key.strip() not in ("length", "settings", "outcomes"):
             break
+        if key.strip() in header:
+            raise ValueError(f"repeated table-file key {key.strip()!r}: {ln!r}")
         header[key.strip()] = int(rest.strip())
         body_start += 1
     if set(header) != {"length", "settings", "outcomes"}:
@@ -458,6 +460,8 @@ def parse_counts_file(text):
         key = key.strip()
         if not sep or key not in ("length", "settings", "outcomes", "witness"):
             raise ValueError(f"unknown counts-file key {key!r}")
+        if key in header:
+            raise ValueError(f"repeated counts-file key {key!r}: {lines[pos]!r}")
         header[key] = rest.strip()
         pos += 1
     try:
@@ -483,26 +487,35 @@ def parse_counts_file(text):
             raise ValueError(f"duplicate record for sequence {rest.strip()!r}")
         seen.add(x_idx)
         pos += 1
+        x_txt = format_setting_sequence(x_seq)
         declared_n = None
+        keys_seen = set()
         while pos < len(lines) and not lines[pos].startswith("sequence:"):
             ln = lines[pos]
             key, sep, rest = ln.partition(":")
-            if sep and key.strip() == "n":
-                declared_n = int(rest.strip())
-            elif sep and key.strip() == "discarded":
-                discarded[x_idx] = int(rest.strip())
+            if sep and key.strip() in ("n", "discarded"):
+                if key.strip() in keys_seen:
+                    raise ValueError(f"record {x_txt!r} repeats {key.strip()!r}: {ln!r}")
+                keys_seen.add(key.strip())
+                if key.strip() == "n":
+                    declared_n = int(rest.strip())
+                else:
+                    discarded[x_idx] = int(rest.strip())
             else:
                 parts = ln.split()
                 if len(parts) != 2:
                     raise ValueError(f"malformed counts line {ln!r}")
                 a_seq = parse_outcome_sequence(parts[0], scenario)
+                if a_seq in keys_seen:
+                    raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
+                keys_seen.add(a_seq)
                 counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = int(parts[1])
             pos += 1
         if declared_n is None:
-            raise ValueError(f"record {format_setting_sequence(x_seq)!r} is missing 'n'")
+            raise ValueError(f"record {x_txt!r} is missing 'n'")
         if counts[x_idx].sum() != declared_n:
             raise ValueError(
-                f"counts for sequence {format_setting_sequence(x_seq)!r} sum to "
+                f"counts for sequence {x_txt!r} sum to "
                 f"{int(counts[x_idx].sum())}, expected n={declared_n}"
             )
     if len(seen) != scenario.num_setting_sequences:

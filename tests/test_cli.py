@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -325,6 +326,60 @@ class TestCountsFiles:
         )
         with pytest.raises(ValueError, match="duplicate"):
             parse_counts_file(text)
+
+
+# SHA-256 of the machine report's rows text and of the table file of the
+# registry protocols, recorded at commit 49a0be8, before each distinct entry
+# was formatted once: the writers must keep every byte.
+TABLE_TEXT_DIGESTS = [
+    ("T", 4, True, "920df64fa7fdc1996bb712a7e9760372b352a206618ff45a4d2c8a4211f1531f",
+     "4b15c69eb00468dd4dd6e14e5cf73578f565f60b93c8af13ed20be30723bf919"),
+    ("T", 5, True, "b2d0a178d402786b848387ac7a1f9b5e77ea0bc9753e142703db605d3c73f990",
+     "cf7978dc67867df66cb63d8e58867e28270119062f26da25846426856471523e"),
+    ("T", 6, True, "84f9150e3865870271f3167ca52b9ccfe90af8535e094301fe431cfe46d40300",
+     "4dbfca94d471b8c5adb4f6ecae26e4c1f0f101896c1e4c7f2738487e6fef76d0"),
+    ("B1", 2, False, "584b8f6bab49cb06aec1c2a0390504b84d6fdcceacde3740eaa2dcc69ef56d31",
+     "2175773c2806b59f372b62e2195dd5120df64f761df57b2b7600096794a5cd19"),
+    ("B1", 6, False, "7a32579e7cb61ba0cc7769cdbeb53e007f507ab66867aa18fd89c972756a0cf7",
+     "073dd14ddcdb7f708786c1761918830bf2095eab9b4bc260b7a9d464435bf275"),
+]
+
+
+@pytest.mark.parametrize("witness, length, noisy, rows_digest, text_digest", TABLE_TEXT_DIGESTS)
+def test_table_texts_pinned(witness, length, noisy, rows_digest, text_digest):
+    protocol = protocols.optimal_protocol(witness)
+    table = simulator.sequence_probabilities(protocol, length)
+    if noisy:
+        table = simulator.apply_readout_noise(
+            table, simulator.protocol_detection_resolver(protocol),
+            simulator.ReadoutNoise(0.96, 0.98))
+    assert hashlib.sha256(cli._table_rows(table).encode()).hexdigest() == rows_digest
+    text = simulator.format_correlation_table(table)
+    assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+
+
+class TestRepeatedLines:
+    # A repeated line used to overwrite the first one: a second
+    # `discarded: 0` hid the discards that certify scores as failures. The
+    # file has 12 shots and 3 discards per record, and `repeat` goes right
+    # after the first `line`; every case still sums to n.
+    @pytest.mark.parametrize("line, repeat", [
+        pytest.param("n: 12", "n: 12", id="n"),
+        pytest.param("discarded: 3", "discarded: 0", id="discarded"),
+        pytest.param("++ 3", "++ 3", id="outcome"),
+        pytest.param("witness: B1", "witness: B2", id="header"),
+    ])
+    def test_repeated_line_rejected(self, capsys, tmp_path, line, repeat):
+        counts = stats.CountsTable(Scenario(2, 2, 2), np.full((4, 4), 3),
+                                   discarded=np.full(4, 3))
+        text = format_counts_file(counts, witness_id="B1")
+        assert f"\n{line}\n" in text
+        path = tmp_path / "counts.txt"
+        path.write_text(text.replace(f"\n{line}\n", f"\n{line}\n{repeat}\n", 1))
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == 2
+        assert out == ""
+        assert repr(repeat) in err
 
 
 class TestSampleAndCertify:

@@ -516,13 +516,20 @@ def random_label(data, sc):
     return data.draw(st.text(alphabet, min_size=1, max_size=sc.length + 1))
 
 
+def assert_writers_match_cell_loops(table):
+    """Both table writers match the cell loops; returns the rows text."""
+    rows = cli._table_rows(table)
+    assert rows == json.dumps(oracles.table_rows(table), sort_keys=True)
+    assert simulator.format_correlation_table(table) == oracles.format_correlation_table(table)
+    return rows
+
+
 @ORACLE
 @given(seed=seeds, sc=label_scenarios)
 def test_table_writers_match_cell_loops(seed, sc):
     table = label_table(np.random.default_rng(seed), sc)
+    assert_writers_match_cell_loops(table)
     text = simulator.format_correlation_table(table)
-    assert text == oracles.format_correlation_table(table)
-    assert cli._table_rows(table) == json.dumps(oracles.table_rows(table), sort_keys=True)
     round_trip = simulator.parse_correlation_table(text)
     assert np.array_equal(round_trip.probs, oracles.parse_correlation_table(text).probs)
     assert np.array_equal(round_trip.probs, [[float(f"{p:.12g}") for p in row]
@@ -553,6 +560,44 @@ def test_table_rows_text_matches_json_dumps(seed, sc):
 
 
 @ORACLE
+@given(seed=seeds, sc=label_scenarios, distinct=st.integers(1, 4))
+def test_table_writers_on_repeated_entries(seed, sc, distinct):
+    # Every row permutes one row of at most `distinct` values.
+    rng = np.random.default_rng(seed)
+    cols = sc.num_outcome_sequences
+    row = rng.choice(rng.random(distinct) + 0.5, size=cols)
+    row /= row.sum()
+    probs = np.array([rng.permutation(row) for _ in range(sc.num_setting_sequences)])
+    table = CorrelationTable(sc, probs)
+    assert len(np.unique(table.probs)) <= distinct
+    assert_writers_match_cell_loops(table)
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios)
+def test_table_writers_keep_negative_zero(seed, sc):
+    # One 1.0 per row; every other zero of the table is -0.0.
+    rows, cols = sc.num_setting_sequences, sc.num_outcome_sequences
+    assume(rows * (cols - 1) >= 2)
+    rng = np.random.default_rng(seed)
+    probs = np.zeros((rows, cols))
+    probs[np.arange(rows), rng.integers(cols, size=rows)] = 1.0
+    probs.flat[np.flatnonzero(probs == 0.0)[::2]] = -0.0
+    table = CorrelationTable(sc, probs)
+    assert np.array_equal(np.signbit(table.probs), np.signbit(probs))
+    text = assert_writers_match_cell_loops(table)
+    assert '"p": -0.0, ' in text and '"p": 0.0, ' in text
+
+
+@ORACLE
+@given(seed=seeds, sc=label_scenarios)
+def test_table_writers_on_distinct_entries(seed, sc):
+    table = random_table(np.random.default_rng(seed), sc, sparsity=0.0)
+    assert len(np.unique(table.probs)) == table.probs.size
+    assert_writers_match_cell_loops(table)
+
+
+@ORACLE
 @given(seed=seeds, sc=label_scenarios, witness_id=st.sampled_from([None, "B1"]))
 def test_counts_writer_matches_cell_loop(seed, sc, witness_id):
     counts = label_counts(np.random.default_rng(seed), sc)
@@ -566,7 +611,8 @@ def test_counts_writer_matches_cell_loop(seed, sc, witness_id):
 
 @ORACLE
 @given(seed=seeds, sc=label_scenarios, data=st.data(),
-       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle"]))
+       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle",
+                             "repeat"]))
 def test_table_reader_matches_label_parsing(seed, sc, data, edit):
     rng = np.random.default_rng(seed)
     lines = simulator.format_correlation_table(label_table(rng, sc)).splitlines()
@@ -582,6 +628,9 @@ def test_table_reader_matches_label_parsing(seed, sc, data, edit):
         body[row] = f"{other[0]} {other[1]} {p_txt}"
     elif edit == "missing":
         del body[row]
+    elif edit == "repeat":
+        key = 1 + rng.integers(3)
+        header.insert(key + rng.integers(4 - key), header[key])
     else:
         rng.shuffle(body)
     text = "\n".join(header + body) + "\n"
@@ -595,7 +644,8 @@ def test_table_reader_matches_label_parsing(seed, sc, data, edit):
 
 @ORACLE
 @given(seed=seeds, sc=label_scenarios, data=st.data(),
-       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle"]))
+       edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle",
+                             "repeat", "repeat header"]))
 def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
     rng = np.random.default_rng(seed)
     text = cli.format_counts_file(label_counts(rng, sc))
@@ -611,6 +661,15 @@ def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
         record[0] = records[rng.integers(len(records))][0]
     elif edit == "missing":
         records.remove(record)
+    elif edit == "repeat":
+        # A second n, discarded or outcome line, with the same or another value.
+        line = record[1 + rng.integers(len(record) - 1)]
+        record.insert(1 + rng.integers(len(record)), line if rng.random() < 0.5
+                      else f"{line.rsplit(maxsplit=1)[0]} {rng.integers(5)}")
+    elif edit == "repeat header":
+        lines = header.splitlines()
+        lines.insert(1 + rng.integers(len(lines) - 1), lines[1 + rng.integers(len(lines) - 1)])
+        header = "\n".join(lines)
     else:
         rng.shuffle(records)
     text = "\n\n".join([header] + ["\n".join(record) for record in records]) + "\n"

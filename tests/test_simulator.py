@@ -332,6 +332,14 @@ class TestTableValidationAndSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             parse_correlation_table(text)
 
+    def test_parse_rejects_repeated_header_key(self):
+        text = (
+            "correlation-table v1\nlength: 1\nlength: 2\nsettings: 1\noutcomes: 2\n"
+            "0 + 1\n0 - 0\n"
+        )
+        with pytest.raises(ValueError, match="repeated table-file key 'length': 'length: 2'"):
+            parse_correlation_table(text)
+
     def test_labels_stop_at_ten_settings_and_outcomes(self):
         x_labels, a_labels = simulator.sequence_labels(Scenario(2, 10, 10))
         assert x_labels[-1] == a_labels[-1] == "99"
