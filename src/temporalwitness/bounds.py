@@ -6,9 +6,12 @@ family. ``nested_generic_bound`` computes, for arbitrary fixed two-outcome
 qubit effects, the exact optimum of any witness over all initial states
 and all history-dependent post-measurement states, by propagating
 max-eigenvalue value functions backwards through the measurement tree.
-Both outer optimizers run one multistart driver: an exhaustive grid in
-chunks, guarded by ``GRID_GUARD_POINTS``, then Nelder-Mead from the best
-grid cells and from seeded random starts. One map, ``_effect_params``,
+Both outer optimizers run one multistart driver: an exhaustive grid,
+guarded by ``GRID_GUARD_POINTS``, then Nelder-Mead from the ten best grid
+cells and from seeded random starts. The grid runs in slabs, blocks of
+leading-axis indices broadcast against the trailing axes, and keeps only a
+running top ten, so its memory does not grow with the grid; ties among the
+ten go to the lowest grid index on any CPU. One map, ``_effect_params``,
 turns box coordinates ``(s0, b0, s1, b1, cos_gamma)`` into effects; the
 closed form's extremal family is the ``s = 1`` face. The Nelder-Mead
 restarts run in lockstep: the live runs are the rows of one simplex array,
@@ -53,15 +56,18 @@ from .simulator import GuardExceeded, Witness
 # Seed for the randomized restarts of the generic optimizer; fixed so that
 # reported traces are reproducible.
 DEFAULT_SEED = 20240601
-# Cells of the objective's temporaries per batch of an exhaustive grid. The
-# generic grid's chunks stay sized by the dense history tensor, though the
-# nested bound touches only its planned rows. Chunks sized from the plan, 4
-# times as many points for T, took as long on its 10^5-point grid and raised
-# the peak RSS of ``bound T --method generic`` by 5 MB (2-core x86 VM).
+# Cells of the objective's temporaries per slab of an exhaustive grid. The
+# generic grid's slabs stay sized by the dense history tensor, though the
+# nested bound touches only its planned rows: at most 2048 points for T and
+# 8192 for B1-B4.
 GRID_CHUNK_CELLS = 1 << 19
+# Points per slab at most: the closed form's one-cell-per-point temporaries
+# stay near 128 KB, where a single 64,000-point pass faulted its 5 MB of
+# temporaries back in on every call.
+GRID_SLAB_POINTS = 1 << 14
 # Grid points beyond which a search raises GuardExceeded before allocating.
-# At the guard (2-core x86 VM) the closed form's 215^3 grid takes 2.1 s and
-# 190 MB, the generic search's 25^5 grid of T 8.3 s and 260 MB.
+# At the guard (2-core x86 VM) the closed form's 215^3 grid takes 0.7 s and
+# the generic search's 25^5 grid of T 2.7 s, each within 40 MB of peak RSS.
 GRID_GUARD_POINTS = 10**7
 
 
@@ -407,6 +413,47 @@ def _lockstep_nelder_mead(
         sim, fsim = sort(sim, fsim)
 
 
+def _grid_top_ten(
+    objective_batch: Callable[[Sequence[np.ndarray]], np.ndarray],
+    axes: Sequence[np.ndarray],
+    cells_per_point: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ten largest values of ``objective_batch`` on the grid of ``axes``
+    and their C-order grid indices, by value descending and then by index:
+    ``np.argsort(-flat, kind="stable")[:10]`` of the dense grid.
+
+    The grid runs in slabs of at most ``GRID_CHUNK_CELLS // cells_per_point``
+    and ``GRID_SLAB_POINTS`` points. A slab gathers a block of indices of
+    the leading axes, shaped ``(b, 1, ...)``, against open-mesh views of
+    the trailing axes, so its values come out in the grid's C order and,
+    the objective being elementwise, with the bits of a dense evaluation.
+    Only a running top ten is kept, so memory does not grow with the grid.
+    """
+    shape = tuple(len(axis) for axis in axes)
+    points = max(1, min(GRID_CHUNK_CELLS // cells_per_point, GRID_SLAB_POINTS))
+    lead = next(k for k in range(1, len(axes) + 1) if math.prod(shape[k:]) <= points)
+    tail, heads = math.prod(shape[lead:]), math.prod(shape[:lead])
+    block = max(1, points // tail)
+    ones = (1,) * (len(axes) - lead)
+    trailing = [axis.reshape((-1,) + ones[j:]) for j, axis in enumerate(axes[lead:], 1)]
+    top_values, top_index = np.empty(0), np.empty(0, dtype=np.intp)
+    for lo in range(0, heads, block):
+        leading = np.unravel_index(np.arange(lo, min(lo + block, heads)), shape[:lead])
+        values = objective_batch(
+            [*(axis[i].reshape((-1,) + ones) for axis, i in zip(axes, leading)), *trailing]
+        ).reshape(-1)
+        # Only values at or above the slab's tenth largest can join the top ten.
+        kept = np.arange(len(values))
+        if len(values) > 10:
+            kept = np.flatnonzero(values >= np.partition(values, len(values) - 10)[-10])
+        top_values = np.concatenate([top_values, values[kept]])
+        top_index = np.concatenate([top_index, lo * tail + kept])
+        # Earlier slabs come first, so the stable sort breaks ties by index.
+        order = np.argsort(-top_values, kind="stable")[:10]
+        top_values, top_index = top_values[order], top_index[order]
+    return top_values, top_index
+
+
 def _multistart(
     objective_batch: Callable[[Sequence[np.ndarray]], np.ndarray],
     box: Sequence[tuple[float, float]],
@@ -417,9 +464,9 @@ def _multistart(
     budget: int,
 ) -> tuple[float, np.ndarray, int]:
     """Maximize ``objective_batch`` over ``box``: an exhaustive grid of
-    ``resolution`` points per axis, in chunks of ``GRID_CHUNK_CELLS`` cells
-    at ``cells_per_point`` cells per point, then lockstep Nelder-Mead from
-    the ten best cells and ``restarts`` seeded uniform starts. Returns the
+    ``resolution`` points per axis, in slabs of :func:`_grid_top_ten` at
+    ``cells_per_point`` cells per point, then lockstep Nelder-Mead from the
+    ten best cells and ``restarts`` seeded uniform starts. Returns the
     best value, its point and the number of objective evaluations. A grid of
     more than ``GRID_GUARD_POINTS`` points, or more starts than leave
     ``(10 + restarts) * budget`` refinement points under it, raises
@@ -442,23 +489,13 @@ def _multistart(
             f"exceed the guard of {GRID_GUARD_POINTS} points"
         )
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-
-    def grid_points(index):
-        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))]
-
-    chunk = max(1, GRID_CHUNK_CELLS // cells_per_point)
-    # Filled in place: a list of chunk values and its concatenation would
-    # hold the grid's values twice.
-    flat = np.empty(size)
-    for lo in range(0, size, chunk):
-        hi = min(lo + chunk, size)
-        flat[lo:hi] = objective_batch(grid_points(np.arange(lo, hi)))
-    order = np.argsort(flat)[::-1][:10]
+    top_values, top_index = _grid_top_ten(objective_batch, axes, cells_per_point)
     lower, upper = np.transpose(box)
-    starts = [*np.stack(grid_points(order), axis=1),
+    starts = [*np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(top_index, shape))],
+                        axis=1),
               *np.random.default_rng(seed).uniform(lower, upper, (restarts, len(box)))]
 
-    best_value, best_point, evaluations = float(flat[order[0]]), starts[0], size
+    best_value, best_point, evaluations = float(top_values[0]), starts[0], size
     for value, point, nfev in _lockstep_nelder_mead(objective_batch, starts, box, budget):
         evaluations += nfev
         if value > best_value:
@@ -511,7 +548,7 @@ def optimize_qubit_bound(
     value, point, evaluations = _multistart(
         lambda z: _nested_bound(plan, _effect_ops(*_effect_params(*z))),
         ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)),
-        # Chunks are sized by the dense level product, 4 cells per entry of
+        # Slabs are sized by the dense level product, 4 cells per entry of
         # the history tensor (see GRID_CHUNK_CELLS).
         grid_resolution, 4 * coeffs.size, restarts, seed, refinement_budget,
     )

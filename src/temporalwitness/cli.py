@@ -37,6 +37,8 @@ EXIT_GUARD = 3
 # CPython writes ints of at most 4300 digits as text; a strategy count at
 # or past this trips the guard. Built once: the power costs 50 us.
 _UNPRINTABLE_COUNT = 10**4300
+# Counts-file numbers are stored as int64.
+_COUNT_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,9 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     The format is strict: unknown keys are rejected, no header key and no
     key or outcome label within a record may repeat, every setting sequence
     must appear exactly once, and each record's outcome counts must sum to
-    its declared ``n``.
+    its declared ``n``. Every ``n``, ``discarded`` and outcome count is an
+    integer in ``[0, 2^63 - 1]``, and the sum is taken on Python ints, so
+    no count can wrap the int64 tables.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -105,6 +109,7 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
         seen.add(x_idx)
         pos += 1
         declared_n: int | None = None
+        total = 0
         # One flag per key and per outcome label: a repeated line would
         # otherwise overwrite the first, so a second `discarded: 0` could
         # hide discards.
@@ -116,12 +121,12 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
             if sep and key.strip() == "n":
                 if declared_n is not None:
                     raise ValueError(f"record {x_txt!r} repeats 'n': {ln!r}")
-                declared_n = int(rest.strip())
+                declared_n = _count(rest, ln)
             elif sep and key.strip() == "discarded":
                 if has_discarded:
                     raise ValueError(f"record {x_txt!r} repeats 'discarded': {ln!r}")
                 has_discarded = True
-                discarded[x_idx] = int(rest.strip())
+                discarded[x_idx] = _count(rest, ln)
             else:
                 parts = ln.split()
                 if len(parts) != 2:
@@ -130,18 +135,30 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
                 if has_outcome[a_idx]:
                     raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
                 has_outcome[a_idx] = True
-                counts[x_idx, a_idx] = int(parts[1])
+                count = _count(parts[1], ln)
+                counts[x_idx, a_idx] = count
+                total += count
             pos += 1
         if declared_n is None:
             raise ValueError(f"record {x_txt!r} is missing 'n'")
-        if counts[x_idx].sum() != declared_n:
+        if total != declared_n:
             raise ValueError(
-                f"counts for sequence {x_txt!r} sum to "
-                f"{int(counts[x_idx].sum())}, expected n={declared_n}"
+                f"counts for sequence {x_txt!r} sum to {total}, expected n={declared_n}"
             )
     if len(seen) != scenario.num_setting_sequences:
         raise ValueError("counts file does not cover every setting sequence")
     return stats.CountsTable(scenario=scenario, counts=counts, discarded=discarded), witness_id
+
+
+def _count(text: str, line: str) -> int:
+    """The count ``text`` of counts-file ``line``, in ``[0, 2^63 - 1]``."""
+    try:
+        value = int(text)
+        if 0 <= value <= _COUNT_MAX:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"counts-file line {line!r} needs an integer in [0, {_COUNT_MAX}]")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +231,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if witness is None:
             raise ValueError("give a witness id or a --protocol file")
         protocol = protocols.optimal_protocol(witness.id)
-    length = args.length or (witness.scenario.length if witness else None)
+    length = args.length
+    if length is None and witness is not None:
+        length = witness.scenario.length
     if length is None:
         raise ValueError("--length is required when no witness sets it")
     if witness is not None and length != witness.scenario.length:

@@ -260,6 +260,17 @@ def refine(objective, start, box, budget):
     return -res.fun, best, int(res.nfev)
 
 
+def grid_top_ten(objective_batch, axes):
+    """The ten best cells of the dense grid of ``axes``, evaluated in one
+    call on its points in C order: their indices, by value descending and
+    then by index, and their values."""
+    shape = tuple(len(axis) for axis in axes)
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    flat = objective_batch([axis[i] for axis, i in zip(axes, index)])
+    order = np.argsort(-flat, kind="stable")[:10]
+    return order, flat[order]
+
+
 def algebraic_max(witness):
     """Brute force over every deterministic strategy."""
     best = -math.inf
@@ -447,6 +458,18 @@ def parse_correlation_table(text):
     return CorrelationTable(scenario=scenario, probs=probs)
 
 
+def count_value(text, line):
+    """A counts-file number: an int64 that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0 or value > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"counts-file line {line!r} needs an integer in [0, {np.iinfo(np.int64).max}]")
+    return value
+
+
 def parse_counts_file(text):
     """The counts-file reader that parses and encodes every label."""
     lines = [ln.strip() for ln in text.splitlines()]
@@ -498,9 +521,9 @@ def parse_counts_file(text):
                     raise ValueError(f"record {x_txt!r} repeats {key.strip()!r}: {ln!r}")
                 keys_seen.add(key.strip())
                 if key.strip() == "n":
-                    declared_n = int(rest.strip())
+                    declared_n = count_value(rest, ln)
                 else:
-                    discarded[x_idx] = int(rest.strip())
+                    discarded[x_idx] = count_value(rest, ln)
             else:
                 parts = ln.split()
                 if len(parts) != 2:
@@ -509,14 +532,14 @@ def parse_counts_file(text):
                 if a_seq in keys_seen:
                     raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
                 keys_seen.add(a_seq)
-                counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = int(parts[1])
+                counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = count_value(parts[1], ln)
             pos += 1
         if declared_n is None:
             raise ValueError(f"record {x_txt!r} is missing 'n'")
-        if counts[x_idx].sum() != declared_n:
+        total = sum(int(k) for k in counts[x_idx])
+        if total != declared_n:
             raise ValueError(
-                f"counts for sequence {x_txt!r} sum to "
-                f"{int(counts[x_idx].sum())}, expected n={declared_n}"
+                f"counts for sequence {x_txt!r} sum to {total}, expected n={declared_n}"
             )
     if len(seen) != scenario.num_setting_sequences:
         raise ValueError("counts file does not cover every setting sequence")

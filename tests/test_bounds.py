@@ -100,6 +100,18 @@ class TestOptimizeTeeBound:
         nested = nested_generic_bound(get_witness("T"), *result.effect_params)
         assert nested == pytest.approx(result.value, abs=1e-9)
 
+    def test_grid_memory_does_not_grow_with_the_grid(self):
+        # The 150^3 grid runs in slabs no larger than the 40^3 grid's.
+        def traced_peak(resolution):
+            tracemalloc.start()
+            try:
+                optimize_tee_bound(grid_resolution=resolution, refinement_budget=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(150) <= 1.5 * traced_peak(40)
+
     def test_result_dominates_probes(self):
         rng = np.random.default_rng(15)
         result = optimize_tee_bound()
@@ -221,8 +233,8 @@ class TestMultistart:
         lambda: optimize_qubit_bound(get_witness("B3"), restarts=2),
     ], ids=["closed", "generic"])
     def test_chunked_grid_matches_one_pass(self, optimize, monkeypatch):
-        # Both default grids fit in one chunk; 999 cells cut them into
-        # chunks of 124 and 15 points, the last one short.
+        # Both default grids fit in one slab; 999 cells cut them into slabs
+        # of 120 and 12 points, the closed form's last one short.
         default = optimize()
         monkeypatch.setattr(bounds, "GRID_CHUNK_CELLS", 999)
         chunked = optimize()

@@ -68,6 +68,13 @@ class TestSimulate:
         assert out == ""
         assert "--length 5" in err and "length is 3" in err
 
+    def test_length_zero_is_a_length(self, capsys):
+        # A length of 0 used to count as absent and print the length-2 table.
+        code, out, err = run(capsys, "simulate", "B1", "--length", "0")
+        assert code == 2
+        assert out == ""
+        assert "--length 0" in err
+
     @pytest.mark.parametrize("witness", ["B1", "T"])
     def test_protocol_other_than_witness_rejected_before_simulating(
         self, capsys, tmp_path, monkeypatch, witness
@@ -178,10 +185,12 @@ class TestBound:
         (("T", "--method", "generic", "--seed", "1"),
          {"evaluations": 122743, "value": 5.225659097611121,
           "effect_params": [0.5, 1.0, 0.5, 1.0, -0.45812285014182225]}),
+        # Every one of the ten best grid cells of B1 and B2 is exactly 3.0;
+        # ties go to the lowest grid index.
         (("B1", "--method", "generic", "--seed", "1"),
-         {"evaluations": 113296, "value": 3.0, "effect_params": [0.5, 1.0, 1.0, 0.0, 1.0]}),
+         {"evaluations": 113289, "value": 3.0, "effect_params": [1.0, 0.0, 0.5, 1.0, -1.0]}),
         (("B2", "--method", "generic", "--seed", "1"),
-         {"evaluations": 111033, "value": 3.0, "effect_params": [0.5, 1.0, 1.0, 0.0, -1.0]}),
+         {"evaluations": 111033, "value": 3.0, "effect_params": [1.0, 0.0, 0.5, 1.0, -1.0]}),
         (("B3", "--method", "generic", "--seed", "1"),
          {"evaluations": 121763, "value": 3.186227883702518,
           "effect_params": [0.5, 1.0, 0.5, 1.0, 0.7562852080007836]}),
@@ -380,6 +389,38 @@ class TestRepeatedLines:
         assert code == 2
         assert out == ""
         assert repr(repeat) in err
+
+
+def counts_record(n=12, discarded=3, counts=(3, 3, 3, 3)):
+    """The text of one record of a length-2 counts file."""
+    lines = [f"n: {n}", f"discarded: {discarded}"]
+    return "\n".join(lines + [f"{a} {k}" for a, k in zip(("++", "+-", "-+", "--"), counts)]) + "\n"
+
+
+class TestCountsPastInt64:
+    # The counts are int64: a value past 2^63 - 1 raised OverflowError, and
+    # two counts of 2^62 wrapped the row sum to n = -2^63, so aot-test
+    # printed a nan statistic and exited 0.
+    @pytest.mark.parametrize("record, line", [
+        pytest.param(counts_record(10**20, counts=(10**20, 0, 0, 0)), f"n: {10**20}",
+                     id="overflow"),
+        pytest.param(counts_record(-2**63, counts=(2**62, 2**62, 0, 0)), f"n: {-2**63}",
+                     id="wrapped-sum"),
+        pytest.param(counts_record(discarded=2**63), f"discarded: {2**63}", id="discarded"),
+        pytest.param(counts_record(counts=(-1, 7, 3, 3)), "++ -1", id="negative"),
+        pytest.param(counts_record(counts=("three", 3, 3, 3)), "++ three", id="not-a-number"),
+    ])
+    def test_rejected(self, capsys, tmp_path, record, line):
+        counts = stats.CountsTable(Scenario(2, 2, 2), np.full((4, 4), 3),
+                                   discarded=np.full(4, 3))
+        text = format_counts_file(counts, witness_id="B1")
+        assert counts_record() in text
+        path = tmp_path / "counts.txt"
+        path.write_text(text.replace(counts_record(), record, 1))
+        code, out, err = run(capsys, "aot-test", str(path))
+        assert code == 2
+        assert out == ""
+        assert repr(line) in err
 
 
 class TestSampleAndCertify:

@@ -361,6 +361,40 @@ def test_lockstep_nelder_mead_matches_scipy(seed, objective, num_starts, budget,
     assert_lockstep_matches_scipy(objective_batch, starts, box, budget)
 
 
+def grid_objective(name):
+    """A batched objective with heavily tied values, and its cells per
+    point."""
+    if name == "constant":
+        return lambda z: np.full(np.broadcast(*z).shape, 3.0), 1
+    if name == "quantized":
+        return lambda z: np.round(3.0 * np.cos(sum((k + 1) * c for k, c in enumerate(z)))), 1
+    _, objective_batch = refinement_problem(name)
+    return objective_batch, 64
+
+
+@ORACLE
+@given(data=st.data(), objective=st.sampled_from(["constant", "quantized", "B1"]),
+       resolution=st.integers(1, 12))
+def test_grid_top_ten_matches_dense_grid(data, objective, resolution):
+    if objective == "B1":
+        box = QUBIT_BOX
+        resolution = min(resolution, 8)
+    else:
+        box = data.draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.5, 2.0])),
+                                 min_size=1, max_size=5))
+        box = [(lo, lo + width) for lo, width in box]
+    objective_batch, cells = grid_objective(objective)
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    # At most about a thousand slabs, down to one point each on small grids.
+    size = resolution ** len(box)
+    chunk = data.draw(st.integers(max(1, size * cells // 512), bounds.GRID_CHUNK_CELLS))
+    with mock.patch.object(bounds, "GRID_CHUNK_CELLS", chunk):
+        values, index = bounds._grid_top_ten(objective_batch, axes, cells)
+    expected_index, expected_values = oracles.grid_top_ten(objective_batch, axes)
+    assert index.tolist() == expected_index.tolist()
+    assert bits(values) == bits(expected_values)
+
+
 @pytest.mark.parametrize("objective,fraction", [("B1", 0.25), ("T", 0.37), ("closed", 0.37)])
 def test_lockstep_nelder_mead_cut_at_every_budget(objective, fraction):
     # Every cut of one search: inside the initial simplex, before an
@@ -645,7 +679,7 @@ def test_table_reader_matches_label_parsing(seed, sc, data, edit):
 @ORACLE
 @given(seed=seeds, sc=label_scenarios, data=st.data(),
        edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle",
-                             "repeat", "repeat header"]))
+                             "repeat", "repeat header", "number"]))
 def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
     rng = np.random.default_rng(seed)
     text = cli.format_counts_file(label_counts(rng, sc))
@@ -666,6 +700,12 @@ def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
         line = record[1 + rng.integers(len(record) - 1)]
         record.insert(1 + rng.integers(len(record)), line if rng.random() < 0.5
                       else f"{line.rsplit(maxsplit=1)[0]} {rng.integers(5)}")
+    elif edit == "number":
+        # An n, discarded or outcome count past int64, negative, one that
+        # wraps an int64 sum, or not a number.
+        line = 1 + rng.integers(len(record) - 1)
+        value = rng.choice([str(10**20), str(-2**63), str(2**62), "-1", "x1"])
+        record[line] = f"{record[line].rsplit(maxsplit=1)[0]} {value}"
     elif edit == "repeat header":
         lines = header.splitlines()
         lines.insert(1 + rng.integers(len(lines) - 1), lines[1 + rng.integers(len(lines) - 1)])
