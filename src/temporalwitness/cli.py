@@ -37,8 +37,6 @@ EXIT_GUARD = 3
 # CPython writes ints of at most 4300 digits as text; a strategy count at
 # or past this trips the guard. Built once: the power costs 50 us.
 _UNPRINTABLE_COUNT = 10**4300
-# Counts-file numbers are stored as int64.
-_COUNT_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +149,15 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
 
 
 def _count(text: str, line: str) -> int:
-    """The count ``text`` of counts-file ``line``, in ``[0, 2^63 - 1]``."""
+    """The count ``text`` of counts-file ``line``, in ``[0, 2^63 - 1]``:
+    the tables store counts as int64."""
     try:
         value = int(text)
-        if 0 <= value <= _COUNT_MAX:
+        if 0 <= value <= stats.INT64_MAX:
             return value
     except ValueError:
         pass
-    raise ValueError(f"counts-file line {line!r} needs an integer in [0, {_COUNT_MAX}]")
+    raise ValueError(f"counts-file line {line!r} needs an integer in [0, {stats.INT64_MAX}]")
 
 
 # ---------------------------------------------------------------------------

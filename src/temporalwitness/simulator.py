@@ -95,7 +95,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.length < 1 or self.settings < 1 or self.outcomes < 2:
             raise ValueError("need length >= 1, settings >= 1, outcomes >= 2")
-        if self.num_setting_sequences * self.num_outcome_sequences > TABLE_GUARD:
+        # settings * outcomes >= 2, so past 64 steps the table already
+        # exceeds the guard; capping the power keeps a length read from a
+        # file from building an integer of that many bits.
+        if (self.settings * self.outcomes) ** min(self.length, 64) > TABLE_GUARD:
             raise GuardExceeded(
                 f"table of {self.settings}^{self.length} x "
                 f"{self.outcomes}^{self.length} entries exceeds the guard"

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporalwitness import bounds, cli, protocols, simulator, stats
 from temporalwitness.cli import build_parser, format_counts_file, main, parse_counts_file
@@ -421,6 +427,119 @@ class TestCountsPastInt64:
         assert code == 2
         assert out == ""
         assert repr(line) in err
+
+    @pytest.mark.parametrize("command", ["certify", "aot-test"])
+    @pytest.mark.parametrize("records", [
+        pytest.param([counts_record(2**63 - 1, 2**63 - 1, (2**63 - 1, 0, 0, 0))], id="discarded"),
+        pytest.param([counts_record(2**62, 0, (2**62, 0, 0, 0))] * 2, id="records"),
+    ])
+    def test_total_past_int64_rejected(self, capsys, tmp_path, command, records):
+        # Every number fits int64, but sums across records wrapped: aot-test
+        # printed a nan statistic and exited 0, and certify blamed zero
+        # repetitions.
+        counts = stats.CountsTable(Scenario(2, 2, 2), np.full((4, 4), 3),
+                                   discarded=np.full(4, 3))
+        text = format_counts_file(counts, witness_id="B1")
+        for record in records:
+            text = text.replace(counts_record(), record, 1)
+        path = tmp_path / "counts.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "total more than 9223372036854775807" in err
+
+
+def run_quietly(*argv):
+    """``main`` with its output captured, for tests that cannot take the
+    function-scoped ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def mutated_counts_lines(lines, mutation, data):
+    """The lines of a counts file with one ``mutation`` applied; ``data``
+    draws where."""
+    def pick(candidates=range(len(lines))):
+        return data.draw(st.sampled_from(list(candidates)))
+
+    numbered = [i for i, ln in enumerate(lines) if ln.split() and ln.split()[-1].isdigit()]
+    if mutation == "drop":
+        del lines[pick()]
+    elif mutation == "repeat":
+        line = lines[pick()]
+        lines.insert(pick(range(len(lines) + 1)), line)
+    elif mutation == "swap":
+        i, j = pick(), pick()
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation in ("huge", "negative", "non-decimal"):
+        i = pick(numbered)
+        head, number = lines[i].rsplit(maxsplit=1)
+        value = data.draw(st.sampled_from({
+            "huge": [str(2**63), str(2**63 - 1), str(10**20), "9" * 5000],
+            "negative": ["-1", f"-{number}", str(-2**63)],
+            "non-decimal": ["x", "1.5", "1e3", "0x10", "1_0", "+1", ""],
+        }[mutation]))
+        lines[i] = f"{head} {value}"
+    elif mutation == "whitespace":
+        i = pick()
+        at = data.draw(st.integers(0, len(lines[i])))
+        space = data.draw(st.sampled_from([" ", "\t", "\r", "\n", "\x0b", "\x0c", "  \t"]))
+        lines[i] = lines[i][:at] + space + lines[i][at:]
+    elif mutation == "wrap":
+        # Counts in range whose sum across records passes 2^63 - 1: two
+        # records gain 2^62 shots on their first outcome, or one record
+        # discards 2^63 - 1 shots.
+        if data.draw(st.booleans()):
+            for i in [i for i, ln in enumerate(lines) if ln.startswith("sequence:")][:2]:
+                for j in (i + 1, i + 3):
+                    head, number = lines[j].rsplit(maxsplit=1)
+                    lines[j] = f"{head} {int(number) + 2**62}"
+        else:
+            lines[pick(i for i in numbered if lines[i].startswith("discarded:"))] = (
+                f"discarded: {2**63 - 1}")
+    return lines
+
+
+MUTATIONS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+class TestMutatedCountsFiles:
+    # A mutated counts file is read as valid (exit 0) or refused with a
+    # message (exit 2, or 3 at a guard): never a traceback, and never a
+    # report after an error.
+    @MUTATIONS
+    @given(witness=st.sampled_from(["B1", "T"]), seed=st.integers(0, 2**32 - 1),
+           mutation=st.sampled_from(["drop", "repeat", "swap", "huge", "negative",
+                                     "non-decimal", "whitespace", "truncate", "wrap"]),
+           data=st.data())
+    def test_exit_is_clean(self, witness, seed, mutation, data):
+        rng = np.random.default_rng(seed)
+        sc = simulator.get_witness(witness).scenario
+        table = simulator.sequence_probabilities(protocols.optimal_protocol(witness), sc.length)
+        counts = stats.sample_counts(table, int(rng.integers(1, 40)), rng,
+                                     discarded=rng.integers(0, 3, sc.num_setting_sequences))
+        text = format_counts_file(counts, witness_id=witness)
+        if mutation == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        else:
+            text = "\n".join(mutated_counts_lines(text.splitlines(), mutation, data)) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.txt"
+            path.write_text(text)
+            for argv in (("certify", path), ("aot-test", path),
+                         ("aot-test", path, "--montecarlo", "20", "--seed", "1")):
+                code, out, err = run_quietly(*argv)
+                assert code in (0, 2, 3), (argv[0], code, err)
+                assert "Traceback" not in err
+                if code:
+                    assert out == "", (argv[0], code, err)
+                # A wrapped sum is refused, not reported as a nan statistic.
+                assert "nan" not in out
+                if mutation == "wrap":
+                    assert code == 2, (argv[0], code, err)
 
 
 class TestSampleAndCertify:

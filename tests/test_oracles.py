@@ -111,13 +111,21 @@ counts_scenarios = st.sampled_from(
 
 
 @ORACLE
-@given(seed=seeds, dims=counts_scenarios, shots=st.integers(1, 200),
-       sparsity=st.floats(0.0, 0.9), batch=st.sampled_from([(), (3,), (2, 2)]))
-def test_aot_statistics_match_dict_loops(seed, dims, shots, sparsity, batch):
+@given(seed=seeds, dims=counts_scenarios, shots=st.integers(1, 10**8),
+       sparsity=st.floats(0.0, 0.9), batch=st.sampled_from([(), (3,), (2, 2)]),
+       single=st.floats(0.0, 1.0))
+def test_aot_statistics_match_dict_loops(seed, dims, shots, sparsity, batch, single):
     rng = np.random.default_rng(seed)
     sc = Scenario(*dims)
     shape = batch + (sc.num_setting_sequences, sc.num_outcome_sequences)
     raw = rng.integers(0, shots + 1, size=shape) * (rng.random(shape) >= sparsity)
+    # A share ``single`` of the rows keeps one nonzero outcome, whose
+    # margins all equal their contexts.
+    rows = rng.random(shape[:-1]) < single
+    kept = rng.integers(0, sc.num_outcome_sequences, size=shape[:-1])
+    one_hot = np.arange(sc.num_outcome_sequences) == kept[..., None]
+    raw = np.where(rows[..., None] & ~one_hot, 0, raw)
+    raw[rows[..., None] & one_hot] = rng.integers(1, shots + 1, size=int(rows.sum()))
     statistics = stats._aot_statistic(sc, raw)
     assert statistics.shape == batch
 

@@ -49,6 +49,13 @@ class TestScenario:
         with pytest.raises(GuardExceeded):
             Scenario(length=8, settings=4, outcomes=4)
 
+    def test_guard_on_a_huge_length(self):
+        # A length read from a file header: the guard must not compute
+        # settings^length, an integer of 10^20 bits.
+        with pytest.raises(GuardExceeded):
+            Scenario(length=10**20, settings=2, outcomes=2)
+        Scenario(length=11, settings=2, outcomes=2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(length=0, settings=2, outcomes=2)

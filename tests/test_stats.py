@@ -1,6 +1,7 @@
 """Tests for frequencies, Hoeffding intervals, qutrit fractions, the AoT
 likelihood-ratio test, and certification."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -82,6 +83,23 @@ class TestCountsTable:
         sc = Scenario(1, 1, 2)
         with pytest.raises(ValueError, match="discarded"):
             CountsTable(sc, np.array([[3, 7]]), discarded=np.array([-1]))
+
+    @pytest.mark.parametrize("counts, discarded", [
+        pytest.param([[2**62, 0], [2**62, 0]], [0, 0], id="counts"),
+        pytest.param([[2**63 - 1, 0], [1, 0]], [0, 0], id="records"),
+        pytest.param([[2**63 - 1, 0], [0, 0]], [2**63 - 1, 0], id="discarded"),
+        pytest.param(np.array([[2**64 - 1, 0], [0, 0]], dtype=np.uint64), [0, 0], id="uint64"),
+    ])
+    def test_rejects_total_past_int64(self, counts, discarded):
+        # Each number fits int64, but the margins and row totals, summed
+        # across cells and records in int64, would wrap.
+        with pytest.raises(ValueError, match="total more than 9223372036854775807"):
+            CountsTable(Scenario(1, 2, 2), np.array(counts), discarded=np.array(discarded))
+
+    def test_accepts_total_at_int64_max(self):
+        counts = CountsTable(Scenario(1, 2, 2), np.array([[2**62, 0], [2**62 - 2, 0]]),
+                             discarded=np.array([0, 1]))
+        assert counts.repetitions.sum() + counts.discarded.sum() == 2**63 - 1
 
 
 class TestFrequencies:
@@ -275,6 +293,27 @@ class TestAotLrTest:
         counts = sample_counts(noisy_table("B2"), 500, rng)
         null = null_model_table(counts)
         assert polytope.check_aot(null, tol=1e-12) == []
+
+    # Digests of the null-model bytes taken before the statistic was scored
+    # from margins: the margin walk must leave every bit of the table as it
+    # was. At 3 shots per sequence many contexts never occur and are
+    # completed uniformly.
+    @pytest.mark.parametrize("wid, seed, shots, digest", [
+        ("B1", 41, 3000, "02a56cd676bd1707d568f2da4e753bd8b91a0e30b2061f76c75d8685e3ccc61f"),
+        ("B1", 41, 3, "7088de95c071855e9cd2dea79ac36af3a2386e7d207eaa4fb13de6da381ecf9d"),
+        ("B2", 42, 3000, "2031effa5bae9c960a7c77ecab47b656afe99a6415d9a1c09d527df484a602c0"),
+        ("B2", 42, 3, "a17b54875670d2d5633714b51cede4e04c78327ca73060926cfb6e492a43b1f7"),
+        ("B3", 43, 3000, "3929b2948a239478136526f562d28c2f2eeb0c4861bd70d8cdf026388c738a12"),
+        ("B3", 43, 3, "66c276c080a7292e2c973b6b784a1daf115719f81752857a66c4382163df2164"),
+        ("B4", 44, 3000, "da683021656b96a425501120f73dfce5736b1bd5631e7879d27dbf13aeb16ea9"),
+        ("B4", 44, 3, "4e1fd3e287423521dbe786260e7f7865fc2f2ab70c0fcbfe9e28204789457c88"),
+        ("T", 45, 3000, "d45109f531809f923ff28bc63576f14ee9fe2e99d9fb844e85ab3d43227d52e1"),
+        ("T", 45, 3, "aa8baf4770c345a9e6cd02945000b7142e4fc9b32ae30e4647a606f2f528e93a"),
+    ])
+    def test_null_model_table_bytes_pinned(self, wid, seed, shots, digest):
+        counts = sample_counts(noisy_table(wid), shots, rng=seed)
+        probs = null_model_table(counts).probs
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
 
     def test_montecarlo_close_to_asymptotic(self):
         counts = sample_counts(noisy_table("B2"), 1000, rng=24)
