@@ -20,12 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, polytope, protocols, simulator, stats
+from .protocols import document_lines, natural
 from .simulator import (
     CorrelationTable,
     GuardExceeded,
     Scenario,
     entry_texts,
     format_header,
+    parse_header,
     sequence_indexers,
     sequence_labels,
 )
@@ -63,101 +65,58 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     The format is strict: unknown keys are rejected, no header key and no
     key or outcome label within a record may repeat, every setting sequence
     must appear exactly once, and each record's outcome counts must sum to
-    its declared ``n``. Every ``n``, ``discarded`` and outcome count is an
-    integer in ``[0, 2^63 - 1]``, and the sum is taken on Python ints, so
-    no count can wrap the int64 tables.
+    its declared ``n``. Every ``n``, ``discarded`` and outcome count is
+    written in ASCII decimal digits with a value in ``[0, 2^63 - 1]``, and
+    the sum is taken on Python ints, so no count can wrap the int64 tables.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "counts v1":
-        raise ValueError("counts file must start with 'counts v1'")
-    header: dict[str, str] = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("sequence:"):
-        key, sep, rest = lines[pos].partition(":")
-        key = key.strip()
-        if not sep or key not in ("length", "settings", "outcomes", "witness"):
-            raise ValueError(f"unknown counts-file key {key!r}")
-        if key in header:
-            raise ValueError(f"repeated counts-file key {key!r}: {lines[pos]!r}")
-        header[key] = rest.strip()
-        pos += 1
-    try:
-        scenario = Scenario(
-            int(header["length"]), int(header["settings"]), int(header["outcomes"])
-        )
-    except KeyError as exc:
-        raise ValueError(f"counts file is missing the {exc.args[0]!r} header") from None
-    witness_id = header.get("witness")
-
-    counts = np.zeros(
-        (scenario.num_setting_sequences, scenario.num_outcome_sequences), dtype=np.int64
-    )
-    discarded = np.zeros(scenario.num_setting_sequences, dtype=np.int64)
-    seen: set[int] = set()
+    lines = document_lines(text, "counts")
+    starts = [i for i, ln in enumerate(lines) if ln.startswith("sequence:")] + [len(lines)]
+    scenario, witness_id = parse_header(lines[:starts[0]], "counts", "witness")
+    # The outcome counts and the discards of each record, by setting index.
+    rows: dict[int, list[int]] = {}
+    discarded: dict[int, int] = {}
     setting_index, outcome_index = sequence_indexers(scenario)
-    while pos < len(lines):
-        key, sep, rest = lines[pos].partition(":")
-        if key.strip() != "sequence" or not sep:
-            raise ValueError(f"expected a 'sequence:' record, got {lines[pos]!r}")
-        x_txt = rest.strip()
+    for start, end in zip(starts, starts[1:]):
+        x_txt = lines[start][len("sequence:"):].strip()
         x_idx = setting_index(x_txt)
-        if x_idx in seen:
+        if x_idx in rows:
             raise ValueError(f"duplicate record for sequence {x_txt!r}")
-        seen.add(x_idx)
-        pos += 1
-        declared_n: int | None = None
-        total = 0
-        # One flag per key and per outcome label: a repeated line would
-        # otherwise overwrite the first, so a second `discarded: 0` could
-        # hide discards.
-        has_discarded = False
-        has_outcome = [False] * scenario.num_outcome_sequences
-        while pos < len(lines) and not lines[pos].startswith("sequence:"):
-            ln = lines[pos]
-            key, sep, rest = ln.partition(":")
-            if sep and key.strip() == "n":
-                if declared_n is not None:
-                    raise ValueError(f"record {x_txt!r} repeats 'n': {ln!r}")
-                declared_n = _count(rest, ln)
-            elif sep and key.strip() == "discarded":
-                if has_discarded:
-                    raise ValueError(f"record {x_txt!r} repeats 'discarded': {ln!r}")
-                has_discarded = True
-                discarded[x_idx] = _count(rest, ln)
+        row = rows[x_idx] = [0] * scenario.num_outcome_sequences
+        # The record's values by key, `n`, `discarded` or an outcome label:
+        # a repeated line would otherwise overwrite the first, so a second
+        # `discarded: 0` could hide discards.
+        record: dict[str, int] = {}
+        for ln in lines[start + 1:end]:
+            key, sep, value = ln.partition(":")
+            if sep and key.strip() in ("n", "discarded"):
+                key, value, a_idx = key.strip(), value.strip(), None
             else:
                 parts = ln.split()
                 if len(parts) != 2:
                     raise ValueError(f"malformed counts line {ln!r}")
-                a_idx = outcome_index(parts[0])
-                if has_outcome[a_idx]:
-                    raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
-                has_outcome[a_idx] = True
-                count = _count(parts[1], ln)
-                counts[x_idx, a_idx] = count
-                total += count
-            pos += 1
-        if declared_n is None:
+                key, value = parts
+                a_idx = outcome_index(key)
+            if key in record:
+                raise ValueError(f"record {x_txt!r} repeats {key!r}: {ln!r}")
+            record[key] = count = natural(value, ln)
+            if a_idx is not None:
+                row[a_idx] = count
+        if "n" not in record:
             raise ValueError(f"record {x_txt!r} is missing 'n'")
+        declared_n = record.pop("n")
+        discarded[x_idx] = record.pop("discarded", 0)
+        total = sum(record.values())
         if total != declared_n:
             raise ValueError(
                 f"counts for sequence {x_txt!r} sum to {total}, expected n={declared_n}"
             )
-    if len(seen) != scenario.num_setting_sequences:
+    if len(rows) != scenario.num_setting_sequences:
         raise ValueError("counts file does not cover every setting sequence")
-    return stats.CountsTable(scenario=scenario, counts=counts, discarded=discarded), witness_id
-
-
-def _count(text: str, line: str) -> int:
-    """The count ``text`` of counts-file ``line``, in ``[0, 2^63 - 1]``:
-    the tables store counts as int64."""
-    try:
-        value = int(text)
-        if 0 <= value <= stats.INT64_MAX:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"counts-file line {line!r} needs an integer in [0, {stats.INT64_MAX}]")
+    order = range(scenario.num_setting_sequences)
+    table = stats.CountsTable(scenario=scenario,
+                              counts=np.array([rows[i] for i in order], dtype=np.int64),
+                              discarded=np.array([discarded[i] for i in order], dtype=np.int64))
+    return table, witness_id
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,36 @@ def extremal_qubit_measurements(
 
 
 # ---------------------------------------------------------------------------
+# Text documents
+# ---------------------------------------------------------------------------
+# Protocol, table and counts files share one grammar: a `kind v1` line, `#`
+# comments, `key: value` lines whose key never repeats, ASCII decimal numbers.
+
+INT64_MAX = 2**63 - 1
+
+
+def document_lines(text: str, kind: str) -> list[str]:
+    """The stripped lines of a ``kind v1`` document after that first line,
+    without blank lines and ``#`` comments."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    if not lines or lines[0] != f"{kind} v1":
+        raise ValueError(f"{kind} file must start with '{kind} v1'")
+    return lines[1:]
+
+
+def natural(text: str, line: str) -> int:
+    """The number ``text`` of document ``line``: ASCII decimal digits with a
+    value in ``[0, INT64_MAX]``, the range of the int64 tables. ``int``
+    refuses text of more than 4300 digits, so such a number is refused too."""
+    try:
+        if text.isascii() and text.isdigit() and (value := int(text)) <= INT64_MAX:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"line {line!r} needs a decimal integer in [0, {INT64_MAX}]")
+
+
+# ---------------------------------------------------------------------------
 # Protocol specification files
 # ---------------------------------------------------------------------------
 
@@ -294,20 +324,16 @@ def format_protocol_spec(spec: ProtocolSpec) -> str:
 
 
 def parse_protocol_spec(text: str) -> ProtocolSpec:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "protocol v1":
-        raise ValueError("protocol file must start with 'protocol v1'")
-    dim: int | None = None
-    initial: int | None = None
+    """Read a protocol file: ``dim``, ``initial``, one ``measurement`` per setting."""
+    header: dict[str, int] = {}
     rows: list[MeasurementRow] = []
-    for ln in lines[1:]:
+    for ln in document_lines(text, "protocol"):
         key, _, rest = ln.partition(":")
         key, rest = key.strip(), rest.strip()
-        if key == "dim":
-            dim = int(rest)
-        elif key == "initial":
-            initial = int(rest)
+        if key in ("dim", "initial"):
+            if key in header:
+                raise ValueError(f"repeated protocol-file key {key!r}: {ln!r}")
+            header[key] = natural(rest, ln)
         elif key == "measurement":
             tokens, _, bright_part = rest.partition(";")
             bright_words = bright_part.split()
@@ -319,6 +345,6 @@ def parse_protocol_spec(text: str) -> ProtocolSpec:
             rows.append(MeasurementRow(block=block, bright_outcome=bright_words[1]))
         else:
             raise ValueError(f"unknown key {key!r} in protocol file")
-    if dim is None or initial is None or not rows:
+    if len(header) != 2 or not rows:
         raise ValueError("protocol file must declare dim, initial and measurements")
-    return ProtocolSpec(dim=dim, initial_level=initial, rows=tuple(rows))
+    return ProtocolSpec(dim=header["dim"], initial_level=header["initial"], rows=tuple(rows))

@@ -29,8 +29,11 @@ zip them with the rows, and the readers map labels back to indices
 (:func:`sequence_indexers`). The entries' text comes from
 :func:`entry_texts`, which formats each distinct entry once, keyed on its
 bits: a table of Markov products repeats its entries (163 distinct of 4,096
-for the T protocol at length 6 with readout noise). The readers reject a
-repeated header key, quoting the line.
+for the T protocol at length 6 with readout noise). The readers accept
+only the labels that :func:`sequence_labels` writes, read the header with
+:func:`parse_header`, the inverse of :func:`format_header`, and follow the
+grammar of ``protocols.document_lines`` and ``protocols.natural``: no key
+repeats and numbers are ASCII decimal digits. Errors quote the line.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .protocols import BRIGHT, OUTCOME_LABELS, Protocol
+from .protocols import BRIGHT, OUTCOME_LABELS, Protocol, document_lines, natural
 
 TABLE_GUARD = 10**7
 
@@ -135,11 +138,16 @@ def format_setting_sequence(seq: Sequence[int]) -> str:
     return "".join(str(x) for x in seq)
 
 
-def parse_setting_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
-    seq = tuple(int(ch) for ch in text)
-    if len(seq) != scenario.length or any(not 0 <= x < scenario.settings for x in seq):
-        raise ValueError(f"bad setting sequence {text!r} for {scenario}")
+def _parse_sequence(text: str, scenario: Scenario, kind: str, symbols: str) -> tuple[int, ...]:
+    """The digits of a label that writes one of ``symbols`` per step."""
+    seq = tuple(map(symbols.find, text))
+    if len(seq) != scenario.length or -1 in seq:
+        raise ValueError(f"bad {kind} sequence {text!r} for {scenario}")
     return seq
+
+
+def parse_setting_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
+    return _parse_sequence(text, scenario, "setting", "0123456789"[:scenario.settings])
 
 
 def format_outcome_sequence(seq: Sequence[int], scenario: Scenario) -> str:
@@ -149,16 +157,8 @@ def format_outcome_sequence(seq: Sequence[int], scenario: Scenario) -> str:
 
 
 def parse_outcome_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
-    if scenario.outcomes == 2:
-        try:
-            seq = tuple(OUTCOME_LABELS.index(ch) for ch in text)
-        except ValueError:
-            raise ValueError(f"bad outcome sequence {text!r}") from None
-    else:
-        seq = tuple(int(ch) for ch in text)
-    if len(seq) != scenario.length or any(not 0 <= a < scenario.outcomes for a in seq):
-        raise ValueError(f"bad outcome sequence {text!r} for {scenario}")
-    return seq
+    symbols = "".join(OUTCOME_LABELS) if scenario.outcomes == 2 else "0123456789"
+    return _parse_sequence(text, scenario, "outcome", symbols[:scenario.outcomes])
 
 
 def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
@@ -181,18 +181,21 @@ def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
 
 
 def sequence_indexers(scenario: Scenario) -> tuple[Callable[[str], int], Callable[[str], int]]:
-    """Maps from a setting label and from an outcome label to its index. The
-    labels of :func:`sequence_labels` are looked up, so the scenario obeys
-    its limit of ten settings and ten outcomes. Other text goes through
-    ``parse_*_sequence``, which raises on bad text."""
-    def indexer(labels: list[str], parse: Callable, base: int) -> Callable[[str], int]:
+    """Maps from a setting label and from an outcome label to its index.
+    Only the labels of :func:`sequence_labels` are known, so the scenario
+    obeys its limit of ten settings and ten outcomes; other text raises
+    the ``ValueError`` of ``parse_*_sequence``, which accepts just those."""
+    def indexer(labels: list[str], parse: Callable) -> Callable[[str], int]:
         known = {label: i for i, label in enumerate(labels)}
-        return lambda text: known[text] if text in known else encode_sequence(
-            parse(text, scenario), base)
+
+        def index(text: str) -> int:
+            if text not in known:
+                parse(text, scenario)
+            return known[text]
+        return index
 
     x_labels, a_labels = sequence_labels(scenario)
-    return (indexer(x_labels, parse_setting_sequence, scenario.settings),
-            indexer(a_labels, parse_outcome_sequence, scenario.outcomes))
+    return indexer(x_labels, parse_setting_sequence), indexer(a_labels, parse_outcome_sequence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,6 +436,28 @@ def format_header(kind: str, scenario: Scenario) -> list[str]:
             f"outcomes: {scenario.outcomes}"]
 
 
+def parse_header(lines: list[str], name: str,
+                 extra: str | None = None) -> tuple[Scenario, str | None]:
+    """Inverse of :func:`format_header`: the scenario that the header
+    ``lines`` of a ``name`` file declare, after its ``kind v1`` line, and
+    the value of its optional ``extra`` key. Each line is ``key: value``
+    with a known key, and no key repeats."""
+    header: dict[str, int | str] = {}
+    for ln in lines:
+        key, sep, value = ln.partition(":")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in ("length", "settings", "outcomes", extra):
+            raise ValueError(f"unknown {name}-file key {key!r}: {ln!r}")
+        if key in header:
+            raise ValueError(f"repeated {name}-file key {key!r}: {ln!r}")
+        header[key] = value if key == extra else natural(value, ln)
+    try:
+        scenario = Scenario(header["length"], header["settings"], header["outcomes"])
+    except KeyError as exc:
+        raise ValueError(f"{name} file is missing the {exc.args[0]!r} header") from None
+    return scenario, header.get(extra)
+
+
 def entry_texts(table: CorrelationTable, fmt: Callable[[float], str]) -> list[list[str]]:
     """``fmt`` of every entry of the table, as rows of text in index order.
 
@@ -459,23 +484,11 @@ def format_correlation_table(table: CorrelationTable) -> str:
 
 
 def parse_correlation_table(text: str) -> CorrelationTable:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "correlation-table v1":
-        raise ValueError("table file must start with 'correlation-table v1'")
-    header: dict[str, int] = {}
-    body_start = 1
-    for ln in lines[1:]:
-        key, sep, rest = ln.partition(":")
-        if not sep or key.strip() not in ("length", "settings", "outcomes"):
-            break
-        if key.strip() in header:
-            raise ValueError(f"repeated table-file key {key.strip()!r}: {ln!r}")
-        header[key.strip()] = int(rest.strip())
-        body_start += 1
-    if set(header) != {"length", "settings", "outcomes"}:
-        raise ValueError("table file must declare length, settings and outcomes")
-    scenario = Scenario(header["length"], header["settings"], header["outcomes"])
+    """Read a table file: the header runs up to the first line without a
+    colon, and then each cell has one ``settings outcomes p`` row."""
+    lines = document_lines(text, "correlation-table")
+    body_start = next((i for i, ln in enumerate(lines) if ":" not in ln), len(lines))
+    scenario, _ = parse_header(lines[:body_start], "table")
     probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
     seen = np.zeros(probs.shape, dtype=bool)
     setting_index, outcome_index = sequence_indexers(scenario)

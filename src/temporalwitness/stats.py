@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import polytope
+from .protocols import INT64_MAX
 from .simulator import (
     CorrelationTable,
     GuardExceeded,
@@ -44,8 +45,6 @@ MC_CHUNK_CELLS = 1 << 14
 # Replicated table cells beyond which the Monte Carlo calibration refuses to
 # run: at 0.13-0.2 us per cell drawn and scored (2-core x86 VM), about a minute.
 MC_GUARD_CELLS = 1 << 28
-# Largest total of counts and discarded shots a CountsTable holds.
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)

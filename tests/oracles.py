@@ -12,6 +12,8 @@ label cell by cell.
 """
 
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 from scipy.optimize import minimize
@@ -425,19 +427,22 @@ def parse_correlation_table(text):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "correlation-table v1":
-        raise ValueError("table file must start with 'correlation-table v1'")
+        raise ValueError("correlation-table file must start with 'correlation-table v1'")
     header = {}
     body_start = 1
     for ln in lines[1:]:
         key, sep, rest = ln.partition(":")
-        if not sep or key.strip() not in ("length", "settings", "outcomes"):
+        if not sep:
             break
+        if key.strip() not in ("length", "settings", "outcomes"):
+            raise ValueError(f"unknown table-file key {key.strip()!r}: {ln!r}")
         if key.strip() in header:
             raise ValueError(f"repeated table-file key {key.strip()!r}: {ln!r}")
-        header[key.strip()] = int(rest.strip())
+        header[key.strip()] = count_value(rest.strip(), ln)
         body_start += 1
-    if set(header) != {"length", "settings", "outcomes"}:
-        raise ValueError("table file must declare length, settings and outcomes")
+    for key in ("length", "settings", "outcomes"):
+        if key not in header:
+            raise ValueError(f"table file is missing the {key!r} header")
     scenario = Scenario(header["length"], header["settings"], header["outcomes"])
     probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
     seen = np.zeros(probs.shape, dtype=bool)
@@ -459,15 +464,12 @@ def parse_correlation_table(text):
 
 
 def count_value(text, line):
-    """A counts-file number: an int64 that is not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0 or value > np.iinfo(np.int64).max:
+    """A document number: at most 4300 ASCII decimal digits, the most that
+    ``int`` converts, and an int64 that is not negative."""
+    if re.fullmatch("[0-9]{1,4300}", text) is None or Decimal(text) > np.iinfo(np.int64).max:
         raise ValueError(
-            f"counts-file line {line!r} needs an integer in [0, {np.iinfo(np.int64).max}]")
-    return value
+            f"line {line!r} needs a decimal integer in [0, {np.iinfo(np.int64).max}]")
+    return int(Decimal(text))
 
 
 def parse_counts_file(text):
@@ -482,17 +484,15 @@ def parse_counts_file(text):
         key, sep, rest = lines[pos].partition(":")
         key = key.strip()
         if not sep or key not in ("length", "settings", "outcomes", "witness"):
-            raise ValueError(f"unknown counts-file key {key!r}")
+            raise ValueError(f"unknown counts-file key {key!r}: {lines[pos]!r}")
         if key in header:
             raise ValueError(f"repeated counts-file key {key!r}: {lines[pos]!r}")
-        header[key] = rest.strip()
+        header[key] = rest.strip() if key == "witness" else count_value(rest.strip(), lines[pos])
         pos += 1
-    try:
-        scenario = Scenario(
-            int(header["length"]), int(header["settings"]), int(header["outcomes"])
-        )
-    except KeyError as exc:
-        raise ValueError(f"counts file is missing the {exc.args[0]!r} header") from None
+    for key in ("length", "settings", "outcomes"):
+        if key not in header:
+            raise ValueError(f"counts file is missing the {key!r} header")
+    scenario = Scenario(header["length"], header["settings"], header["outcomes"])
     witness_id = header.get("witness")
 
     counts = np.zeros(
@@ -521,16 +521,16 @@ def parse_counts_file(text):
                     raise ValueError(f"record {x_txt!r} repeats {key.strip()!r}: {ln!r}")
                 keys_seen.add(key.strip())
                 if key.strip() == "n":
-                    declared_n = count_value(rest, ln)
+                    declared_n = count_value(rest.strip(), ln)
                 else:
-                    discarded[x_idx] = count_value(rest, ln)
+                    discarded[x_idx] = count_value(rest.strip(), ln)
             else:
                 parts = ln.split()
                 if len(parts) != 2:
                     raise ValueError(f"malformed counts line {ln!r}")
                 a_seq = parse_outcome_sequence(parts[0], scenario)
                 if a_seq in keys_seen:
-                    raise ValueError(f"record {x_txt!r} repeats outcome {parts[0]!r}: {ln!r}")
+                    raise ValueError(f"record {x_txt!r} repeats {parts[0]!r}: {ln!r}")
                 keys_seen.add(a_seq)
                 counts[x_idx, encode_sequence(a_seq, scenario.outcomes)] = count_value(parts[1], ln)
             pos += 1

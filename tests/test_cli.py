@@ -396,6 +396,32 @@ class TestRepeatedLines:
         assert out == ""
         assert repr(repeat) in err
 
+    # int() read `+12`, `0_12` and `١٢` (Arabic-Indic digits) as 12, so these
+    # files certified with exit 0. Each `line` is rewritten in place.
+    @pytest.mark.parametrize("command", ["certify", "aot-test"])
+    @pytest.mark.parametrize("line", ["n: 12", "discarded: 3", "++ 3", "length: 2"])
+    @pytest.mark.parametrize("spell", [
+        pytest.param(lambda v: f"+{v}", id="plus"),
+        pytest.param(lambda v: f"0_{v}", id="underscore"),
+        pytest.param(lambda v: v.translate(ARABIC_INDIC), id="arabic-indic"),
+    ])
+    def test_non_decimal_number_rejected(self, capsys, tmp_path, command, line, spell):
+        counts = stats.CountsTable(Scenario(2, 2, 2), np.full((4, 4), 3),
+                                   discarded=np.full(4, 3))
+        text = format_counts_file(counts, witness_id="B1")
+        head, number = line.rsplit(maxsplit=1)
+        spelled = f"{head} {spell(number)}"
+        path = tmp_path / "counts.txt"
+        path.write_text(text.replace(f"\n{line}\n", f"\n{spelled}\n", 1))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert repr(spelled) in err
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
 
 def counts_record(n=12, discarded=3, counts=(3, 3, 3, 3)):
     """The text of one record of a length-2 counts file."""
@@ -459,8 +485,8 @@ def run_quietly(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def mutated_counts_lines(lines, mutation, data):
-    """The lines of a counts file with one ``mutation`` applied; ``data``
+def mutated_lines(lines, mutation, data):
+    """The lines of a document with one ``mutation`` applied; ``data``
     draws where."""
     def pick(candidates=range(len(lines))):
         return data.draw(st.sampled_from(list(candidates)))
@@ -480,7 +506,8 @@ def mutated_counts_lines(lines, mutation, data):
         value = data.draw(st.sampled_from({
             "huge": [str(2**63), str(2**63 - 1), str(10**20), "9" * 5000],
             "negative": ["-1", f"-{number}", str(-2**63)],
-            "non-decimal": ["x", "1.5", "1e3", "0x10", "1_0", "+1", ""],
+            "non-decimal": ["x", "1.5", "1e3", "0x10", "1_0", "+1", "", f"+{number}",
+                            f"0_{number}", number.translate(ARABIC_INDIC)],
         }[mutation]))
         lines[i] = f"{head} {value}"
     elif mutation == "whitespace":
@@ -509,7 +536,7 @@ MUTATIONS = settings(max_examples=100, deadline=None, database=None, derandomize
 class TestMutatedCountsFiles:
     # A mutated counts file is read as valid (exit 0) or refused with a
     # message (exit 2, or 3 at a guard): never a traceback, and never a
-    # report after an error.
+    # report after an error. A number that is not ASCII decimal is refused.
     @MUTATIONS
     @given(witness=st.sampled_from(["B1", "T"]), seed=st.integers(0, 2**32 - 1),
            mutation=st.sampled_from(["drop", "repeat", "swap", "huge", "negative",
@@ -525,7 +552,7 @@ class TestMutatedCountsFiles:
         if mutation == "truncate":
             text = text[:data.draw(st.integers(0, len(text)))]
         else:
-            text = "\n".join(mutated_counts_lines(text.splitlines(), mutation, data)) + "\n"
+            text = "\n".join(mutated_lines(text.splitlines(), mutation, data)) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "counts.txt"
             path.write_text(text)
@@ -538,8 +565,64 @@ class TestMutatedCountsFiles:
                     assert out == "", (argv[0], code, err)
                 # A wrapped sum is refused, not reported as a nan statistic.
                 assert "nan" not in out
-                if mutation == "wrap":
+                if mutation in ("wrap", "non-decimal"):
                     assert code == 2, (argv[0], code, err)
+
+
+class TestMutatedTableFiles:
+    # A mutated table file is read, or refused with ValueError, or trips the
+    # guard: never another exception.
+    @MUTATIONS
+    @given(witness=st.sampled_from(["B1", "T"]), noisy=st.booleans(),
+           mutation=st.sampled_from(["drop", "repeat", "swap", "huge", "negative",
+                                     "non-decimal", "whitespace", "truncate"]),
+           data=st.data())
+    def test_only_value_errors(self, witness, noisy, mutation, data):
+        protocol = protocols.optimal_protocol(witness)
+        table = simulator.sequence_probabilities(
+            protocol, simulator.get_witness(witness).scenario.length)
+        if noisy:
+            table = simulator.apply_readout_noise(
+                table, simulator.protocol_detection_resolver(protocol),
+                simulator.ReadoutNoise(0.96, 0.98))
+        text = simulator.format_correlation_table(table)
+        if mutation == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        else:
+            text = "\n".join(mutated_lines(text.splitlines(), mutation, data)) + "\n"
+        try:
+            simulator.parse_correlation_table(text)
+        except (ValueError, simulator.GuardExceeded):
+            pass
+
+
+class TestMutatedProtocolFiles:
+    # `simulate --protocol` of a mutated protocol file prints a table or
+    # exits 2 or 3 with a message: never a traceback, and never a table
+    # after an error. A number that is not ASCII decimal is refused.
+    @MUTATIONS
+    @given(witness=st.sampled_from(sorted(protocols.OPTIMAL_PULSES)),
+           mutation=st.sampled_from(["drop", "repeat", "swap", "huge", "negative",
+                                     "non-decimal", "whitespace", "truncate"]),
+           data=st.data())
+    def test_exit_is_clean(self, witness, mutation, data):
+        text = protocols.format_protocol_spec(protocols.OPTIMAL_PULSES[witness])
+        if mutation == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        else:
+            text = "\n".join(mutated_lines(text.splitlines(), mutation, data)) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.protocol"
+            path.write_text(text)
+            for argv in (("simulate", "--protocol", path, "--length", "2"),
+                         ("simulate", witness, "--protocol", path)):
+                code, out, err = run_quietly(*argv)
+                assert code in (0, 2, 3), (argv, code, err)
+                assert "Traceback" not in err
+                if code:
+                    assert out == "", (argv, code, err)
+                if mutation == "non-decimal":
+                    assert code == 2, (argv, code, err)
 
 
 class TestSampleAndCertify:

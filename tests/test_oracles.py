@@ -554,7 +554,8 @@ def parsed(parse, text):
 
 
 def random_label(data, sc):
-    alphabet = "0123456789+-ab" if sc.outcomes == 2 else "0123456789ab"
+    # U+0661 is ARABIC-INDIC DIGIT ONE, a digit to int() but no label symbol.
+    alphabet = "0123456789+-ab\u0661" if sc.outcomes == 2 else "0123456789ab\u0661"
     return data.draw(st.text(alphabet, min_size=1, max_size=sc.length + 1))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from temporalwitness import protocols, simulator
+from temporalwitness.cli import main
 from temporalwitness.protocols import (
     OPTIMAL_PULSES,
     PhaseConfig,
@@ -308,3 +309,27 @@ class TestProtocolFiles:
         text = "protocol v1\ndim: 3\ninitial: 0\nmeasurement: pi01 D C P0 pi02\n"
         with pytest.raises(ValueError, match="malformed measurement"):
             parse_protocol_spec(text)
+
+    # A second `dim:` or `initial:` line used to replace the first, so
+    # `dim: 4` then `dim: 3` read as a qutrit; int() also read `+3`, `0_3`
+    # and `\u0663` (ARABIC-INDIC DIGIT THREE) as 3.
+    @pytest.mark.parametrize("line, replacement, quoted", [
+        ("dim: 3", "dim: 4\ndim: 3", "dim: 3"),
+        ("dim: 3", "dim: 3\ndim: 3", "dim: 3"),
+        ("initial: 0", "initial: 2\ninitial: 0", "initial: 0"),
+        ("dim: 3", "dim: +3", "dim: +3"),
+        ("dim: 3", "dim: 0_3", "dim: 0_3"),
+        ("dim: 3", "dim: \u0663", "dim: \u0663"),
+        ("initial: 0", "initial: +0", "initial: +0"),
+    ])
+    def test_simulate_rejects_repeated_keys_and_non_decimal_numbers(
+        self, capsys, tmp_path, line, replacement, quoted
+    ):
+        text = format_protocol_spec(OPTIMAL_PULSES["B1"])
+        path = tmp_path / "spec.protocol"
+        path.write_text(text.replace(f"{line}\n", f"{replacement}\n", 1))
+        code = main(["simulate", "--protocol", str(path), "--length", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert repr(quoted) in err

@@ -1,6 +1,8 @@
 """Tests for correlation tables, the sequential simulator, readout noise,
 and witness evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,33 @@ class TestTableValidationAndSerialization:
         )
         with pytest.raises(ValueError, match="repeated table-file key 'length': 'length: 2'"):
             parse_correlation_table(text)
+
+    # int() read `+2`, `0_2` and `\u0662` (ARABIC-INDIC DIGIT TWO) as 2.
+    @pytest.mark.parametrize("key", ["length", "settings", "outcomes"])
+    @pytest.mark.parametrize("spelled", ["+2", "0_2", "\u0662"])
+    def test_parse_rejects_non_decimal_header(self, key, spelled):
+        text = format_correlation_table(CorrelationTable(Scenario(2, 2, 2), np.full((4, 4), 0.25)))
+        text = text.replace(f"\n{key}: 2\n", f"\n{key}: {spelled}\n")
+        with pytest.raises(ValueError, match=re.escape(repr(f"{key}: {spelled}"))):
+            parse_correlation_table(text)
+
+    # A row labelled `\u06600` used to read as `00`: labels are looked up
+    # exactly as the writer spells them.
+    @pytest.mark.parametrize("x_txt, a_txt", [
+        ("\u06600", "++"), ("0\u0661", "++"), ("00", "+\u0661"),
+    ])
+    def test_parse_rejects_non_ascii_labels(self, x_txt, a_txt):
+        text = format_correlation_table(CorrelationTable(Scenario(2, 2, 2), np.full((4, 4), 0.25)))
+        text = text.replace("\n00 ++ 0.25\n", f"\n{x_txt} {a_txt} 0.25\n")
+        with pytest.raises(ValueError, match="bad (setting|outcome) sequence"):
+            parse_correlation_table(text)
+
+    @pytest.mark.parametrize("scenario", [Scenario(2, 2, 2), Scenario(2, 2, 3)])
+    def test_parse_sequence_takes_label_symbols_only(self, scenario):
+        assert simulator.parse_setting_sequence("01", scenario) == (0, 1)
+        for parse in (simulator.parse_setting_sequence, simulator.parse_outcome_sequence):
+            with pytest.raises(ValueError, match="bad (setting|outcome) sequence"):
+                parse("\u06601", scenario)
 
     def test_labels_stop_at_ten_settings_and_outcomes(self):
         x_labels, a_labels = simulator.sequence_labels(Scenario(2, 10, 10))
