@@ -297,13 +297,14 @@ def document_lines(text: str, kind: str) -> list[str]:
 
 def natural(text: str, line: str) -> int:
     """The number ``text`` of document ``line``: ASCII decimal digits with a
-    value in ``[0, INT64_MAX]``, the range of the int64 tables. ``int``
-    refuses text of more than 4300 digits, so such a number is refused too."""
-    try:
-        if text.isascii() and text.isdigit() and (value := int(text)) <= INT64_MAX:
+    value in ``[0, INT64_MAX]``, the range of the int64 tables. Leading
+    zeros are dropped before ``int`` sees more than 19 digits, so its
+    settable limit on digits never decides what reads."""
+    if text.isascii() and text.isdigit():
+        if len(text) > 19:
+            text = text.lstrip("0") or "0"
+        if len(text) <= 19 and (value := int(text)) <= INT64_MAX:
             return value
-    except ValueError:
-        pass
     raise ValueError(f"line {line!r} needs a decimal integer in [0, {INT64_MAX}]")
 
 

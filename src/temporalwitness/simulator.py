@@ -134,10 +134,6 @@ class Scenario:
         return arr.reshape(self.num_setting_sequences, self.num_outcome_sequences)
 
 
-def format_setting_sequence(seq: Sequence[int]) -> str:
-    return "".join(str(x) for x in seq)
-
-
 def _parse_sequence(text: str, scenario: Scenario, kind: str, symbols: str) -> tuple[int, ...]:
     """The digits of a label that writes one of ``symbols`` per step."""
     seq = tuple(map(symbols.find, text))
@@ -146,26 +142,26 @@ def _parse_sequence(text: str, scenario: Scenario, kind: str, symbols: str) -> t
     return seq
 
 
+def _symbols(scenario: Scenario) -> tuple[str, str]:
+    """The characters a label writes per step: a digit per setting, and
+    ``+``/``-`` for two outcomes or else a digit per outcome."""
+    outcomes = "".join(OUTCOME_LABELS) if scenario.outcomes == 2 else "0123456789"
+    return "0123456789"[:scenario.settings], outcomes[:scenario.outcomes]
+
+
 def parse_setting_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
-    return _parse_sequence(text, scenario, "setting", "0123456789"[:scenario.settings])
-
-
-def format_outcome_sequence(seq: Sequence[int], scenario: Scenario) -> str:
-    if scenario.outcomes == 2:
-        return "".join(OUTCOME_LABELS[a] for a in seq)
-    return "".join(str(a) for a in seq)
+    return _parse_sequence(text, scenario, "setting", _symbols(scenario)[0])
 
 
 def parse_outcome_sequence(text: str, scenario: Scenario) -> tuple[int, ...]:
-    symbols = "".join(OUTCOME_LABELS) if scenario.outcomes == 2 else "0123456789"
-    return _parse_sequence(text, scenario, "outcome", symbols[:scenario.outcomes])
+    return _parse_sequence(text, scenario, "outcome", _symbols(scenario)[1])
 
 
 def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
     """The label of every setting sequence and of every outcome sequence,
     in index order (first step most significant).
 
-    A label writes one digit per step, so a scenario of more than ten
+    A label writes one character per step, so a scenario of more than ten
     settings, or of more than ten outcomes, has no labels: ``(1, 0, 10)``
     and ``(10, 1, 0)`` would both read ``1010``.
     """
@@ -174,10 +170,9 @@ def sequence_labels(scenario: Scenario) -> tuple[list[str], list[str]]:
             f"labels write one digit per step, so tables and counts files allow at most "
             f"10 settings and 10 outcomes, not {scenario.settings} and {scenario.outcomes}"
         )
-    settings = itertools.product(range(scenario.settings), repeat=scenario.length)
-    outcomes = itertools.product(range(scenario.outcomes), repeat=scenario.length)
-    return ([format_setting_sequence(seq) for seq in settings],
-            [format_outcome_sequence(seq, scenario) for seq in outcomes])
+    x_symbols, a_symbols = _symbols(scenario)
+    return ([*map("".join, itertools.product(x_symbols, repeat=scenario.length))],
+            [*map("".join, itertools.product(a_symbols, repeat=scenario.length))])
 
 
 def sequence_indexers(scenario: Scenario) -> tuple[Callable[[str], int], Callable[[str], int]]:

@@ -20,14 +20,13 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
+from temporalwitness.protocols import OUTCOME_LABELS
 from temporalwitness.qcore import PSD_TOL, check_bloch_parameters, identity, pauli_matrices
 from temporalwitness.simulator import (
     CorrelationTable,
     Scenario,
     decode_index,
     encode_sequence,
-    format_outcome_sequence,
-    format_setting_sequence,
     parse_outcome_sequence,
     parse_setting_sequence,
 )
@@ -365,6 +364,18 @@ def greedy_independent_flags(scenario):
     return flags
 
 
+def format_setting_sequence(seq):
+    """A setting-sequence label, one digit per step."""
+    return "".join(str(x) for x in seq)
+
+
+def format_outcome_sequence(seq, scenario):
+    """An outcome-sequence label: ``+``/``-`` per step for two outcomes,
+    else one digit per step."""
+    if scenario.outcomes == 2:
+        return "".join(OUTCOME_LABELS[a] for a in seq)
+    return "".join(str(a) for a in seq)
+
 
 def format_correlation_table(table):
     """The table text, one row per cell, each label decoded from its index."""
@@ -464,9 +475,10 @@ def parse_correlation_table(text):
 
 
 def count_value(text, line):
-    """A document number: at most 4300 ASCII decimal digits, the most that
-    ``int`` converts, and an int64 that is not negative."""
-    if re.fullmatch("[0-9]{1,4300}", text) is None or Decimal(text) > np.iinfo(np.int64).max:
+    """A document number: ASCII decimal digits, however many, and an int64
+    that is not negative. ``Decimal`` reads any number of digits, where
+    ``int`` stops at a settable limit."""
+    if re.fullmatch("[0-9]+", text) is None or Decimal(text) > np.iinfo(np.int64).max:
         raise ValueError(
             f"line {line!r} needs a decimal integer in [0, {np.iinfo(np.int64).max}]")
     return int(Decimal(text))

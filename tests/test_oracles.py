@@ -711,10 +711,14 @@ def test_counts_reader_matches_label_parsing(seed, sc, data, edit):
                       else f"{line.rsplit(maxsplit=1)[0]} {rng.integers(5)}")
     elif edit == "number":
         # An n, discarded or outcome count past int64, negative, one that
-        # wraps an int64 sum, or not a number.
+        # wraps an int64 sum, or not a number; or past the digits that int()
+        # converts by default, as a huge number or as the same count after
+        # leading zeros.
         line = 1 + rng.integers(len(record) - 1)
-        value = rng.choice([str(10**20), str(-2**63), str(2**62), "-1", "x1"])
-        record[line] = f"{record[line].rsplit(maxsplit=1)[0]} {value}"
+        key, old = record[line].rsplit(maxsplit=1)
+        value = rng.choice([str(10**20), str(-2**63), str(2**62), "-1", "x1",
+                            "1" + "0" * 4400, "0" * 4400 + old])
+        record[line] = f"{key} {value}"
     elif edit == "repeat header":
         lines = header.splitlines()
         lines.insert(1 + rng.integers(len(lines) - 1), lines[1 + rng.integers(len(lines) - 1)])

@@ -1,6 +1,8 @@
 """Tests for pulse-block measurements, the optimal protocols, protocol
 validation, and the extremal qubit measurement family."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from temporalwitness.protocols import (
     OPTIMAL_PULSES,
     PhaseConfig,
     Protocol,
+    INT64_MAX,
     extremal_qubit_measurements,
     format_protocol_spec,
     measure_and_prepare_from_pulses,
@@ -333,3 +336,24 @@ class TestProtocolFiles:
         assert code == 2
         assert out == ""
         assert repr(quoted) in err
+
+    # `natural` reads every number of the three file formats. Leading zeros
+    # are allowed however many there are, so the interpreter's limit on the
+    # digits that int() converts (4300 by default, settable) decides nothing.
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("007", 7), (str(INT64_MAX), INT64_MAX), ("0" * 4400 + "7", 7),
+        ("0" * 4400, 0), (str(INT64_MAX + 1), None), ("1" + "0" * 4400, None),
+        ("+7", None), ("0_7", None), ("\u0667", None), ("-0", None), ("", None),
+    ])
+    @pytest.mark.parametrize("max_digits", [sys.get_int_max_str_digits(), 640])
+    def test_natural_reads_ascii_decimal_int64(self, text, value, max_digits):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(max_digits)
+        try:
+            if value is None:
+                with pytest.raises(ValueError, match="needs a decimal integer"):
+                    protocols.natural(text, f"n: {text}")
+            else:
+                assert protocols.natural(text, f"n: {text}") == value
+        finally:
+            sys.set_int_max_str_digits(saved)
