@@ -373,6 +373,39 @@ def test_table_texts_pinned(witness, length, noisy, rows_digest, text_digest):
     assert hashlib.sha256(text.encode()).hexdigest() == text_digest
 
 
+# SHA-256 of `certify --format machine` on the `sample --shots 3000 --seed 1`
+# file of each witness, and on the noisy B3 file with discarded shots per
+# setting sequence added, recorded at commit 89c250d. The first discards
+# keep the verdict, the second turn it to "not certified".
+CERTIFY_DIGESTS = [
+    ("B1", False, None, "566ed0bda7ff1570c6c4c537f7824b4bee263ffb6c5b8b1d5c3e12b954cee576"),
+    ("B1", True, None, "9e750a28676c36ede3f2b1c251f821cf9cfabc3152fade0c5696d16e45c7216c"),
+    ("B3", False, None, "e4f91db1ad2c21d78c2e213f6e0de778930c18263cae3b7df760132ae7ad568e"),
+    ("B3", True, None, "9509b11259afd795b3dc066796996dbe0749ad83693fbce93658ee5e23eb636c"),
+    ("T", False, None, "bda3a4d8ea6da9f322f0095f2a238e227dd8aeb4532b8cc921fafe3f923281fa"),
+    ("T", True, None, "9d7f726d6feae487beeb8f1cd0de3163c4c400a22cebd6f14c8d71d247d8e589"),
+    ("B3", True, (100, 400, 700, 300),
+     "8e18b42aad0462a20ab10abbfff1a35f160a14cda5442c8054846def089736c2"),
+    ("B3", True, (200, 900, 1500, 300),
+     "b1f735f94b3a8957c23f059269a169b4e075f4dedeee68b2bd12c5daebf2d510"),
+]
+
+
+@pytest.mark.parametrize("witness, noisy, discarded, digest", CERTIFY_DIGESTS)
+def test_certify_reports_pinned(capsys, tmp_path, witness, noisy, discarded, digest):
+    path = tmp_path / "counts.txt"
+    noise = ("--noise", "0.96", "0.98") if noisy else ()
+    assert run(capsys, "sample", witness, "--shots", "3000", "--seed", "1", *noise,
+               "--output", str(path))[0] == 0
+    if discarded is not None:
+        counts, witness_id = parse_counts_file(path.read_text())
+        counts = stats.CountsTable(counts.scenario, counts.counts, discarded=discarded)
+        path.write_text(format_counts_file(counts, witness_id=witness_id))
+    code, out, _ = run(capsys, "certify", str(path), "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestRepeatedLines:
     # A repeated line used to overwrite the first one: a second
     # `discarded: 0` hid the discards that certify scores as failures. The
