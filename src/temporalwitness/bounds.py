@@ -283,9 +283,8 @@ def _lockstep_nelder_mead(
     box: Sequence[tuple[float, float]],
     budget: int,
 ) -> list[tuple[float, np.ndarray, int]]:
-    """Nelder-Mead ascent from every start at once, restricted to the
-    non-degenerate axes of ``box``; returns ``(value, point, evaluations)``
-    per start.
+    """Nelder-Mead ascent from every start at once, inside ``box``; returns
+    ``(value, point, evaluations)`` per start.
 
     Each run takes the steps of scipy's bounded minimization exactly
     (``adaptive=False``, ``xatol=XATOL``, ``fatol=FATOL``,
@@ -304,28 +303,18 @@ def _lockstep_nelder_mead(
     branch. Convergence tests ``f[-1] - f[0] <= FATOL`` on each sorted row
     first and measures the simplex spread only where that holds.
     """
-    starts = np.array(starts, dtype=float)
-    free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
-    if not free:
-        values = objective_batch(starts.T)
-        return [(float(v), start, 1) for v, start in zip(values, starts)]
-    lower = np.array([box[i][0] for i in free], dtype=float)
-    upper = np.array([box[i][1] for i in free], dtype=float)
-    n = len(free)
+    lower, upper = np.array(box, dtype=float).T
+    n = len(box)
 
-    def minus_objective(runs, repeats, points):
-        if n == len(box):
-            return -objective_batch(points.T)
-        full = starts[np.repeat(runs, repeats)]
-        full[:, free] = points
-        return -objective_batch(full.T)
+    def minus_objective(points):
+        return -objective_batch(points.T)
 
     def sort(sim, fsim):
         order = np.argsort(fsim, axis=1)
         by_run = np.arange(len(order))[:, None]
         return sim[by_run, order], fsim[by_run, order]
 
-    x0 = np.clip(starts[:, free], lower, upper)
+    x0 = np.clip(np.array(starts, dtype=float), lower, upper)
     sim = np.repeat(x0[:, None], n + 1, axis=1)
     axis = np.arange(n)
     sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
@@ -334,8 +323,7 @@ def _lockstep_nelder_mead(
     rows = list(range(len(starts)))
     first = min(n + 1, budget)
     fsim = np.full((len(rows), n + 1), np.inf)
-    fsim[:, :first] = minus_objective(
-        rows, first, sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
+    fsim[:, :first] = minus_objective(sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
     nfev = [first] * len(rows)
     # scipy sorts twice here; argsort need not keep ties in place.
     sim, fsim = sort(*sort(sim, fsim))
@@ -351,9 +339,7 @@ def _lockstep_nelder_mead(
                 if stop or calls >= budget]
         if done:
             for k in done:
-                point = starts[rows[k]].copy()
-                point[free] = sim[k, 0]
-                results[rows[k]] = (float(-fsim[k, 0]), point, nfev[k])
+                results[rows[k]] = (float(-fsim[k, 0]), sim[k, 0].copy(), nfev[k])
             if len(done) == len(rows):
                 return results
             live = sorted(set(range(len(rows))).difference(done))
@@ -363,7 +349,7 @@ def _lockstep_nelder_mead(
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = TRIAL_STEPS[:, 0] * xbar[:, None] - TRIAL_STEPS[:, 1] * sim[:, -1:]
         trial = np.clip(trial, lower, upper)
-        ftrial = minus_objective(rows, 4, trial.reshape(-1, n)).reshape(-1, 4)
+        ftrial = minus_objective(trial.reshape(-1, n)).reshape(-1, 4)
         # scipy's branches on each run's trial values and its best, second
         # worst and worst vertex values; ``pick`` indexes TRIAL_STEPS.
         moved, picks, shrink = [], [], []
@@ -405,8 +391,7 @@ def _lockstep_nelder_mead(
             evaluate = axis < np.array(calls)[:, None]
             if evaluate.any():
                 part[:, 1:][evaluate] = shrunk[evaluate]
-                fpart[:, 1:][evaluate] = minus_objective(
-                    [rows[k] for k in shrink], calls, shrunk[evaluate])
+                fpart[:, 1:][evaluate] = minus_objective(shrunk[evaluate])
             sim[shrink], fsim[shrink] = part, fpart
             for k, c in zip(shrink, calls):
                 nfev[k] += c
@@ -503,22 +488,17 @@ def _multistart(
     return best_value, best_point, evaluations
 
 
-def optimize_tee_bound(
-    grid_resolution: int = 40,
-    refinement_budget: int = 2000,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> BoundResult:
+def optimize_tee_bound(grid_resolution: int = 40, refinement_budget: int = 2000) -> BoundResult:
     """Globally maximize the closed-form three-step bound over
     ``(p, q, cos_gamma)`` by exhaustive grid search plus simplex refinement
     from the ten best grid cells. The argmax maps to effects as a point of
     the ``s = 1`` face of the generic box, with ``b = p / (2 - p)``."""
     if grid_resolution < 20:
         raise ValueError("grid resolution must be at least 20 per axis")
-    if box is None:
-        box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     # The closed form peaks at 8 float cells per point.
     value, point, evaluations = _multistart(
-        lambda z: _tee_closed_form_array(*z), box, grid_resolution, 8, 0, None, refinement_budget
+        lambda z: _tee_closed_form_array(*z), ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)),
+        grid_resolution, 8, 0, None, refinement_budget,
     )
     params = QubitBoundParams(*(float(v) for v in point))
     p, q = params.p, params.q

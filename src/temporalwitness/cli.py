@@ -202,8 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     table = simulator.sequence_probabilities(protocol, length)
     if args.noise is not None:
         noise = simulator.ReadoutNoise(*args.noise)
-        resolver = simulator.protocol_detection_resolver(protocol)
-        table = simulator.apply_readout_noise(table, resolver, noise)
+        table = simulator.apply_readout_noise(table, protocol.bright, noise)
     value = simulator.evaluate_witness(witness, table) if witness else None
 
     if args.format == "machine":
@@ -399,10 +398,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     table = simulator.sequence_probabilities(protocol, witness.scenario.length)
     if args.noise is not None:
         table = simulator.apply_readout_noise(
-            table,
-            simulator.protocol_detection_resolver(protocol),
-            simulator.ReadoutNoise(*args.noise),
-        )
+            table, protocol.bright, simulator.ReadoutNoise(*args.noise))
     counts = stats.sample_counts(table, args.shots, args.seed)
     document = format_counts_file(counts, witness_id=witness.id)
     if args.output:

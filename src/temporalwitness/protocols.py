@@ -22,9 +22,6 @@ from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra, pauli_matrices
 
 OUTCOME_LABELS = ("+", "-")
 
-BRIGHT = "bright"
-DARK = "dark"
-
 
 class PulsePrimitive(enum.Enum):
     """Vocabulary of the pulse-sequence grammar."""
@@ -113,7 +110,9 @@ class Protocol:
     for setting ``x`` and outcome ``a``, the effect ``effects[x, a]`` that
     the step measures and the state ``preparations[x, a]`` that it leaves
     behind. All three are plain complex arrays, the last two of shape
-    ``(m, d, D, D)``; construction checks them and stores read-only copies.
+    ``(m, d, D, D)``. ``bright``, when given, is the ``(m, d)`` boolean
+    mask of the branches that fluoresce, which readout noise needs.
+    Construction checks the arrays and stores read-only copies.
 
     A dimension verdict drawn from this protocol's tables rests on two
     assumptions, and is void without them:
@@ -130,7 +129,7 @@ class Protocol:
     initial_state: np.ndarray
     effects: np.ndarray
     preparations: np.ndarray
-    detection_kinds: dict[tuple[int, str], str] | None = None
+    bright: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         initial = np.array(self.initial_state, dtype=complex)
@@ -151,9 +150,14 @@ class Protocol:
             raise ValueError(f"effects do not sum to the identity (deviation {dev:.3e})")
         qcore.check_states(initial, "initial state")
         qcore.check_states(preparations, "preparation")
-        for name, arr in (
-            ("initial_state", initial), ("effects", effects), ("preparations", preparations)
-        ):
+        arrays = {"initial_state": initial, "effects": effects, "preparations": preparations}
+        if self.bright is not None:
+            bright = np.array(self.bright)
+            if bright.shape != shape[:2] or bright.dtype != bool:
+                raise ValueError(f"bright must be a boolean array of shape {shape[:2]}, "
+                                 f"got {bright.dtype} of shape {bright.shape}")
+            arrays["bright"] = bright
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -200,11 +204,8 @@ class ProtocolSpec:
             initial_state=np.outer(initial, initial.conj()),
             effects=np.array([effects for effects, _ in steps]),
             preparations=np.array([[prepared, prepared] for _, prepared in steps]),
-            detection_kinds={
-                (setting, label): BRIGHT if label == row.bright_outcome else DARK
-                for setting, row in enumerate(self.rows)
-                for label in OUTCOME_LABELS
-            },
+            bright=[[label == row.bright_outcome for label in OUTCOME_LABELS]
+                    for row in self.rows],
         )
 
 

@@ -12,9 +12,12 @@ significant digit, so the view is a reshape and a transpose
 (:meth:`Scenario.to_history`, inverted by :meth:`Scenario.from_history`),
 and :attr:`Witness.coefficients` lays witness terms out the same way. The
 last two axes are the last step, so summing or contracting them moves one
-level up the tree: the simulator, readout noise, the AoT statistics, the
-nested qubit bound and the algebraic maximum are all loops over levels of
-this tensor, and only this module knows the encoding.
+level up the tree: the simulator, readout noise, the nested qubit bound
+and the algebraic maximum are all loops over levels of this tensor. Two
+walkers elsewhere read the encoding itself rather than the view:
+``stats._fold``, behind the AoT statistics and ``stats.null_model_table``,
+sums a step's digit as strided slices of the index, and
+``polytope.check_aot`` reshapes the rows and columns into prefixes.
 
 The simulator grows the tensor one level at a time. A measure-and-prepare
 step keeps nothing of the state it measured but its branch, so the
@@ -33,23 +36,28 @@ for the T protocol at length 6 with readout noise). The readers accept
 only the labels that :func:`sequence_labels` writes, read the header with
 :func:`parse_header`, the inverse of :func:`format_header`, and follow the
 grammar of ``protocols.document_lines`` and ``protocols.natural``: no key
-repeats and numbers are ASCII decimal digits. Errors quote the line.
+repeats and header numbers are ASCII decimal digits. Table entries are
+spelled as ``"%.12g"`` writes them (:data:`TABLE_ENTRY`). Errors quote the
+line.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .protocols import BRIGHT, OUTCOME_LABELS, Protocol, document_lines, natural
+from .protocols import OUTCOME_LABELS, Protocol, document_lines, natural
 
 TABLE_GUARD = 10**7
 
-# Fluorescence kind of the branch (setting, true outcome index).
-DetectionResolver = Callable[[int, int], str]
+# A table entry as "%.12g" writes a probability: ASCII digits, an optional
+# fraction and an optional negative exponent ("0.25", "1", "1e-05"), or
+# "-0" for the -0.0 that np.clip keeps.
+TABLE_ENTRY = re.compile(r"-0|[0-9]+(\.[0-9]+)?(e-[0-9]+)?")
 
 
 class GuardExceeded(RuntimeError):
@@ -269,6 +277,17 @@ class Witness:
             tensor[tuple(v for pair in zip(settings, outcomes) for v in pair)] += coeff
         return tensor
 
+    def score(self, array: np.ndarray) -> float:
+        """``sum coeff * array[x, a]`` over the terms, in term order, where
+        ``x`` and ``a`` index the term's setting and outcome sequences as
+        the rows and columns of a table do."""
+        sc = self.scenario
+        total = 0.0
+        for settings, outcomes, coeff in self.terms:
+            x, a = encode_sequence(settings, sc.settings), encode_sequence(outcomes, sc.outcomes)
+            total += coeff * float(array[x, a])
+        return total
+
     @property
     def setting_sequences(self) -> tuple[tuple[int, ...], ...]:
         """The distinct setting sequences appearing in the terms, in order."""
@@ -359,44 +378,27 @@ class ReadoutNoise:
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name}={val} outside [0, 1]")
 
-    def record_prob(self, kind: str, flipped: bool) -> float:
-        correct = self.p_bright_correct if kind == BRIGHT else self.p_dark_correct
-        return 1.0 - correct if flipped else correct
 
-
-def protocol_detection_resolver(protocol: Protocol) -> DetectionResolver:
-    """Resolver mapping each measurement branch to its fluorescence kind,
-    derived from the protocol's pulse provenance."""
-    kinds = protocol.detection_kinds
-    if kinds is None:
-        raise ValueError("protocol carries no detection-kind information")
-    labels = protocol.outcomes
-
-    def resolver(setting: int, outcome: int) -> str:
-        return kinds[(setting, labels[outcome])]
-
-    return resolver
-
-
-def apply_readout_noise(
-    table: CorrelationTable,
-    resolver: DetectionResolver,
-    noise: ReadoutNoise,
-) -> CorrelationTable:
+def apply_readout_noise(table: CorrelationTable, bright: np.ndarray | None,
+                        noise: ReadoutNoise) -> CorrelationTable:
     """Mix a table through per-step binary readout confusion.
 
     The quantum branch follows the true outcome; only the recorded symbol
-    flips, with an error rate set by the branch's detection kind. The
-    result stays normalized because each confusion column sums to one.
+    flips, with an error rate set by the branch's detection kind:
+    ``bright[x, a]`` marks the branches that fluoresce, as
+    :attr:`Protocol.bright` does. The result stays normalized because each
+    confusion column sums to one.
     """
     scenario = table.scenario
     if scenario.outcomes != 2:
         raise ValueError("readout noise is defined for binary outcomes only")
+    mask = np.asarray(bright)
+    if mask.dtype != bool or mask.shape != (scenario.settings, 2):
+        raise ValueError(f"readout noise needs a boolean detection-kind mask of shape "
+                         f"{(scenario.settings, 2)}, got {mask.dtype} of shape {mask.shape}")
+    correct = np.where(mask, noise.p_bright_correct, noise.p_dark_correct)[..., None]
     # confusion[x, a, r]: probability of recording r on branch (x, a).
-    confusion = np.array([
-        [[noise.record_prob(resolver(x, a), r != a) for r in range(2)] for a in range(2)]
-        for x in range(scenario.settings)
-    ])
+    confusion = np.where(np.eye(2, dtype=bool), correct, 1.0 - correct)
     tensor = scenario.to_history(table.probs)
     axes = list(range(tensor.ndim))
     for x_axis in range(0, tensor.ndim, 2):
@@ -415,10 +417,7 @@ def evaluate_witness(witness: Witness, table: CorrelationTable) -> float:
         raise ValueError(
             f"witness scenario {witness.scenario} does not match table {table.scenario}"
         )
-    total = 0.0
-    for settings, outcomes, coeff in witness.terms:
-        total += coeff * table.prob(settings, outcomes)
-    return total
+    return witness.score(table.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,8 @@ def format_correlation_table(table: CorrelationTable) -> str:
 
 def parse_correlation_table(text: str) -> CorrelationTable:
     """Read a table file: the header runs up to the first line without a
-    colon, and then each cell has one ``settings outcomes p`` row."""
+    colon, and then each cell has one ``settings outcomes p`` row, with
+    ``p`` spelled as :data:`TABLE_ENTRY` allows."""
     lines = document_lines(text, "correlation-table")
     body_start = next((i for i, ln in enumerate(lines) if ":" not in ln), len(lines))
     scenario, _ = parse_header(lines[:body_start], "table")
@@ -495,6 +495,9 @@ def parse_correlation_table(text: str) -> CorrelationTable:
         if seen[i, j]:
             raise ValueError(f"duplicate table row for {parts[0]} {parts[1]}")
         seen[i, j] = True
+        if TABLE_ENTRY.fullmatch(parts[2]) is None:
+            raise ValueError(f"line {ln!r} needs a finite ASCII decimal entry, as '%.12g' "
+                             "writes one in [0, 1]")
         probs[i, j] = float(parts[2])
     if not seen.all():
         raise ValueError("table file is missing rows")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,15 +119,17 @@ def frequencies(counts: CountsTable) -> CorrelationTable:
 
 def hoeffding_halfwidth(
     witness: Witness,
-    repetitions: CountsTable | int | Mapping[tuple[int, ...], int],
+    repetitions: int | np.ndarray,
     spec: ConfidenceSpec = ConfidenceSpec(),
 ) -> float:
     """Hoeffding half-width ``t`` of the two-sided confidence interval for a
     witness value estimated from frequencies.
 
     Solves ``2 exp(-2 t^2 / sum_x 1/n_x) = 1 - confidence`` in closed form,
-    where the sum runs over the witness's setting sequences. Valid only for
-    0/1 coefficients, for which the witness is a mean of bounded variables.
+    where the sum runs over the witness's setting sequences. ``repetitions``
+    is one shot count for every setting sequence, or the counts indexed as
+    the table rows. Valid only for 0/1 coefficients, for which the witness
+    is a mean of bounded variables.
     """
     for _settings, _outcomes, coeff in witness.terms:
         if coeff not in (0.0, 1.0):
@@ -135,25 +137,15 @@ def hoeffding_halfwidth(
                 "Hoeffding half-width requires 0/1 witness coefficients; "
                 f"got {coeff} (rescale the witness or derive a custom bound)"
             )
+    sc = witness.scenario
+    shots = np.broadcast_to(repetitions, (sc.num_setting_sequences,))
     inv_sum = 0.0
     for settings in witness.setting_sequences:
-        n = _repetitions_for(repetitions, settings, witness.scenario)
+        n = int(shots[encode_sequence(settings, sc.settings)])
         if n <= 0:
             raise ValueError(f"setting sequence {settings} has zero repetitions")
         inv_sum += 1.0 / (2.0 * n)
     return math.sqrt(-math.log((1.0 - spec.confidence) / 2.0) * inv_sum)
-
-
-def _repetitions_for(
-    repetitions: CountsTable | int | Mapping[tuple[int, ...], int],
-    settings: tuple[int, ...],
-    scenario: Scenario,
-) -> int:
-    if isinstance(repetitions, CountsTable):
-        return int(repetitions.repetitions[encode_sequence(settings, scenario.settings)])
-    if isinstance(repetitions, (int, np.integer)):
-        return int(repetitions)
-    return int(repetitions[settings])
 
 
 @dataclass(frozen=True)
@@ -502,16 +494,11 @@ def certify(
     if witness.scenario != counts.scenario:
         raise ValueError("witness and counts scenarios do not match")
     value = evaluate_witness(witness, frequencies(counts))
-    halfwidth = hoeffding_halfwidth(witness, counts, spec)
+    halfwidth = hoeffding_halfwidth(witness, counts.repetitions, spec)
     # The verdict scores every discarded shot as a failure of the witness.
-    sc = counts.scenario
     attempted = counts.repetitions + counts.discarded
-    lower = 0.0
-    for x, a, coeff in witness.terms:
-        i = encode_sequence(x, sc.settings)
-        lower += coeff * float(counts.counts[i, encode_sequence(a, sc.outcomes)] / attempted[i])
-    shots = {x: int(attempted[encode_sequence(x, sc.settings)]) for x in witness.setting_sequences}
-    lower -= hoeffding_halfwidth(witness, shots, spec)
+    lower = witness.score(counts.counts / attempted[:, None])
+    lower -= hoeffding_halfwidth(witness, attempted, spec)
     frac = qutrit_fraction(value, witness.qubit_bound, witness.algebraic_max)
     span = witness.algebraic_max - witness.qubit_bound
     return CertificationReport(

@@ -73,8 +73,9 @@ def sequence_probabilities(protocol, length):
     return CorrelationTable(scenario=scenario, probs=probs)
 
 
-def apply_readout_noise(table, resolver, noise):
-    """Sum over every (true, recorded) outcome-sequence pair of a row."""
+def apply_readout_noise(table, bright, noise):
+    """Sum over every (true, recorded) outcome-sequence pair of a row;
+    ``bright[x][a]`` tells whether branch ``(x, a)`` fluoresces."""
     sc = table.scenario
     noisy = np.zeros_like(table.probs)
     for x_idx in range(sc.num_setting_sequences):
@@ -84,12 +85,13 @@ def apply_readout_noise(table, resolver, noise):
             if p == 0.0:
                 continue
             a_seq = decode_index(a_idx, sc.outcomes, sc.length)
-            kinds = [resolver(x_seq[t], a_seq[t]) for t in range(sc.length)]
+            correct = [noise.p_bright_correct if bright[x_seq[t]][a_seq[t]]
+                       else noise.p_dark_correct for t in range(sc.length)]
             for r_idx in range(sc.num_outcome_sequences):
                 r_seq = decode_index(r_idx, sc.outcomes, sc.length)
                 factor = p
                 for t in range(sc.length):
-                    factor *= noise.record_prob(kinds[t], r_seq[t] != a_seq[t])
+                    factor *= correct[t] if r_seq[t] == a_seq[t] else 1.0 - correct[t]
                 noisy[x_idx, r_idx] += factor
     return CorrelationTable(scenario=sc, probs=noisy)
 
@@ -237,28 +239,16 @@ def effect_ops(a0, b0, a1, b1, cos_gamma):
 
 
 def refine(objective, start, box, budget):
-    """scipy's Nelder-Mead ascent from ``start``, restricted to the
-    non-degenerate axes of ``box``. Returns (value, point, evaluations)."""
-    free = [i for i, (lo, hi) in enumerate(box) if hi - lo > 1e-15]
-    point = np.array(start, dtype=float)
-    if not free:
-        return objective(point), point, 1
-
-    def neg(z):
-        full = point.copy()
-        full[free] = z
-        return -objective(full)
-
+    """scipy's Nelder-Mead ascent from ``start`` inside ``box``. Returns
+    (value, point, evaluations)."""
     res = minimize(
-        neg,
-        point[free],
+        lambda z: -objective(z),
+        np.array(start, dtype=float),
         method="Nelder-Mead",
-        bounds=[box[i] for i in free],
+        bounds=box,
         options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": budget},
     )
-    best = point.copy()
-    best[free] = res.x
-    return -res.fun, best, int(res.nfev)
+    return -res.fun, res.x, int(res.nfev)
 
 
 def grid_top_ten(objective_batch, axes):
@@ -468,10 +458,27 @@ def parse_correlation_table(text):
         if seen[i, j]:
             raise ValueError(f"duplicate table row for {parts[0]} {parts[1]}")
         seen[i, j] = True
-        probs[i, j] = float(parts[2])
+        probs[i, j] = table_entry(parts[2], ln)
     if not seen.all():
         raise ValueError("table file is missing rows")
     return CorrelationTable(scenario=scenario, probs=probs)
+
+
+def table_entry(text, line):
+    """A table entry as ``"%.12g"`` writes one in [0, 1]: ``-0``, or ASCII
+    digits with an optional fraction of ASCII digits and an optional
+    exponent ``e-`` and ASCII digits."""
+    mantissa, exp_sign, exponent = text.partition("e-")
+    whole, point, fraction = mantissa.partition(".")
+
+    def digits(part):
+        return part != "" and all(c in "0123456789" for c in part)
+
+    if text != "-0" and not (digits(whole) and (not point or digits(fraction))
+                             and (not exp_sign or digits(exponent))):
+        raise ValueError(
+            f"line {line!r} needs a finite ASCII decimal entry, as '%.12g' writes one in [0, 1]")
+    return float(text)
 
 
 def count_value(text, line):

@@ -54,7 +54,7 @@ def noisy_value(wid):
     w = get_witness(wid)
     noisy = simulator.apply_readout_noise(
         simulator.sequence_probabilities(protocol, w.scenario.length),
-        simulator.protocol_detection_resolver(protocol),
+        protocol.bright,
         simulator.ReadoutNoise(0.96, 0.98),
     )
     return simulator.evaluate_witness(w, noisy)
@@ -180,7 +180,7 @@ def test_criterion_8_aot_machinery():
     protocol = protocols.optimal_protocol("B2")
     noisy = simulator.apply_readout_noise(
         simulator.sequence_probabilities(protocol, 2),
-        simulator.protocol_detection_resolver(protocol),
+        protocol.bright,
         simulator.ReadoutNoise(),
     )
     exact = stats.CountsTable(

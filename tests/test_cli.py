@@ -366,7 +366,7 @@ def test_table_texts_pinned(witness, length, noisy, rows_digest, text_digest):
     table = simulator.sequence_probabilities(protocol, length)
     if noisy:
         table = simulator.apply_readout_noise(
-            table, simulator.protocol_detection_resolver(protocol),
+            table, protocol.bright,
             simulator.ReadoutNoise(0.96, 0.98))
     assert hashlib.sha256(cli._table_rows(table).encode()).hexdigest() == rows_digest
     text = simulator.format_correlation_table(table)
@@ -616,7 +616,7 @@ class TestMutatedTableFiles:
             protocol, simulator.get_witness(witness).scenario.length)
         if noisy:
             table = simulator.apply_readout_noise(
-                table, simulator.protocol_detection_resolver(protocol),
+                table, protocol.bright,
                 simulator.ReadoutNoise(0.96, 0.98))
         text = simulator.format_correlation_table(table)
         if mutation == "truncate":
@@ -713,7 +713,7 @@ class TestSampleAndCertify:
         protocol = protocols.optimal_protocol("B2")
         table = simulator.apply_readout_noise(
             simulator.sequence_probabilities(protocol, 2),
-            simulator.protocol_detection_resolver(protocol),
+            protocol.bright,
             simulator.ReadoutNoise(),
         )
         n = 1250**2
@@ -732,7 +732,7 @@ class TestAotTestCommand:
         protocol = protocols.optimal_protocol("B2")
         table = simulator.apply_readout_noise(
             simulator.sequence_probabilities(protocol, 2),
-            simulator.protocol_detection_resolver(protocol),
+            protocol.bright,
             simulator.ReadoutNoise(),
         )
         counts = stats.CountsTable(
@@ -766,7 +766,7 @@ class TestAotTestCommand:
         table = simulator.sequence_probabilities(protocols.optimal_protocol("B2"), 2)
         noisy = simulator.apply_readout_noise(
             table,
-            simulator.protocol_detection_resolver(protocols.optimal_protocol("B2")),
+            protocols.optimal_protocol("B2").bright,
             simulator.ReadoutNoise(),
         )
         counts = stats.sample_counts(noisy, 1000, rng=9)

@@ -17,7 +17,6 @@ from scipy.special import chdtrc, ndtri
 import oracles
 import util
 from temporalwitness import bounds, cli, polytope, protocols, simulator, stats
-from temporalwitness.protocols import BRIGHT, DARK
 from temporalwitness.simulator import CorrelationTable, ReadoutNoise, Scenario, Witness
 
 ORACLE = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -94,14 +93,10 @@ def test_readout_noise_matches_cell_loop(seed, shape, bright, dark):
     rng = np.random.default_rng(seed)
     length, m = shape
     table = random_table(rng, Scenario(length, m, 2))
-    kinds = {(x, a): (BRIGHT, DARK)[rng.integers(2)] for x in range(m) for a in range(2)}
-
-    def resolver(x, a):
-        return kinds[(x, a)]
-
+    mask = rng.random((m, 2)) < 0.5
     noise = ReadoutNoise(bright, dark)
-    noisy = simulator.apply_readout_noise(table, resolver, noise)
-    expected = oracles.apply_readout_noise(table, resolver, noise)
+    noisy = simulator.apply_readout_noise(table, mask, noise)
+    expected = oracles.apply_readout_noise(table, mask.tolist(), noise)
     assert np.allclose(noisy.probs, expected.probs, rtol=0, atol=1e-12)
 
 
@@ -351,9 +346,8 @@ def assert_lockstep_matches_scipy(objective_batch, starts, box, budget):
 
 @ORACLE
 @given(seed=seeds, objective=st.sampled_from(["B1", "T", "closed"]),
-       num_starts=st.integers(1, 4), budget=st.integers(1, 80),
-       degenerate=st.sampled_from([None, 0, 1, 2, -1]))
-def test_lockstep_nelder_mead_matches_scipy(seed, objective, num_starts, budget, degenerate):
+       num_starts=st.integers(1, 4), budget=st.integers(1, 80))
+def test_lockstep_nelder_mead_matches_scipy(seed, objective, num_starts, budget):
     rng = np.random.default_rng(seed)
     box, objective_batch = refinement_problem(objective)
     lo, hi = np.array(box).T
@@ -362,10 +356,6 @@ def test_lockstep_nelder_mead_matches_scipy(seed, objective, num_starts, budget,
     # coordinates take its absolute initial step.
     pick = rng.random(starts.shape)
     starts = np.where(pick < 0.2, hi, np.where(pick > 0.8, 0.0, starts))
-    if degenerate is not None:
-        box = list(box)
-        box[degenerate] = (starts[0, degenerate],) * 2
-        starts[:, degenerate] = starts[0, degenerate]
     assert_lockstep_matches_scipy(objective_batch, starts, box, budget)
 
 
@@ -455,12 +445,6 @@ def test_lockstep_nelder_mead_runs_the_full_budget_on_the_corner():
     assert [nfev for _, _, nfev in results] == [2000, 2000]
     assert all(point[:4].min() > 1.0 - 1e-12 for _, point, _ in results)
     assert_lockstep_matches_scipy(objective_batch, starts, box, 2000)
-
-
-def test_lockstep_nelder_mead_without_free_axes():
-    _, objective_batch = refinement_problem("closed")
-    box = ((0.25, 0.25), (0.5, 0.5), (-0.5, -0.5))
-    assert_lockstep_matches_scipy(objective_batch, [np.array(box)[:, 0]] * 2, box, 10)
 
 
 @ORACLE
@@ -655,7 +639,7 @@ def test_counts_writer_matches_cell_loop(seed, sc, witness_id):
 @ORACLE
 @given(seed=seeds, sc=label_scenarios, data=st.data(),
        edit=st.sampled_from(["setting", "outcome", "duplicate", "missing", "shuffle",
-                             "repeat"]))
+                             "repeat", "entry"]))
 def test_table_reader_matches_label_parsing(seed, sc, data, edit):
     rng = np.random.default_rng(seed)
     lines = simulator.format_correlation_table(label_table(rng, sc)).splitlines()
@@ -674,6 +658,12 @@ def test_table_reader_matches_label_parsing(seed, sc, data, edit):
     elif edit == "repeat":
         key = 1 + rng.integers(3)
         header.insert(key + rng.integers(4 - key), header[key])
+    elif edit == "entry":
+        # U+0660 is ARABIC-INDIC DIGIT ZERO, a digit to float().
+        spelled = data.draw(st.one_of(
+            st.sampled_from([p_txt, "-0", "1e-05", "+" + p_txt, "0_" + p_txt, p_txt + "e-0"]),
+            st.text("0123456789.e-+_\u0660", min_size=1, max_size=8)))
+        body[row] = f"{x_txt} {a_txt} {spelled}"
     else:
         rng.shuffle(body)
     text = "\n".join(header + body) + "\n"

@@ -119,6 +119,8 @@ class TestOptimalProtocols:
             p.preparations[0, 0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             p.initial_state[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            p.bright[0, 0] = False
 
     def test_repeated_setting_is_deterministic_where_required(self):
         # Each witness demands a fixed outcome when the same setting is
@@ -250,6 +252,16 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="shape"):
             self.build(effects[0], preparations[0])
 
+    def test_bright_mask(self):
+        effects, preparations = self.arrays()
+        initial = ketbra(2, 0, 0)
+        p = Protocol(initial, effects, preparations, bright=[[True, False]])
+        assert p.bright.dtype == bool and p.bright.tolist() == [[True, False]]
+        assert not p.bright.flags.writeable
+        for bad in ([[True, False, True]], [[True], [False]], [[1, 0]], [[1.0, 0.0]], True):
+            with pytest.raises(ValueError, match="bright must be a boolean array"):
+                Protocol(initial, effects, preparations, bright=bad)
+
     def test_rejects_initial_state_dimension(self):
         with pytest.raises(ValueError, match=r"initial state has shape \(3, 3\)"):
             self.build(*self.arrays(), ketbra(3, 0, 0))
@@ -297,7 +309,7 @@ class TestProtocolFiles:
         reference = optimal_protocol("B3")
         assert np.allclose(rebuilt.effects, reference.effects, atol=1e-12)
         assert np.allclose(rebuilt.preparations, reference.preparations, atol=1e-12)
-        assert rebuilt.detection_kinds == reference.detection_kinds
+        assert np.array_equal(rebuilt.bright, reference.bright)
 
     def test_rejects_unknown_key(self):
         text = "protocol v1\ndim: 3\ninitial: 0\ncolor: blue\n"

@@ -23,7 +23,6 @@ from temporalwitness.simulator import (
     format_correlation_table,
     get_witness,
     parse_correlation_table,
-    protocol_detection_resolver,
     sequence_probabilities,
 )
 
@@ -37,7 +36,7 @@ NOISY_THREE_STEP = 2 * 0.96**3 + 4 * 0.96**2 * 0.98 + 2 * 0.96 * 0.98**2
 
 def trivial_qubit_protocol():
     """Both settings always answer '+' and re-prepare the ground state; the
-    protocol carries no detection kinds."""
+    protocol carries no bright mask."""
     ground = ketbra(2, 0, 0)
     return protocols.Protocol(
         initial_state=ground,
@@ -194,7 +193,7 @@ class TestReadoutNoise:
         protocol = optimal_protocol("B1")
         table = sequence_probabilities(protocol, 2)
         noisy = apply_readout_noise(
-            table, protocol_detection_resolver(protocol), ReadoutNoise(1.0, 1.0)
+            table, protocol.bright, ReadoutNoise(1.0, 1.0)
         )
         assert np.array_equal(noisy.probs, table.probs)
 
@@ -202,7 +201,7 @@ class TestReadoutNoise:
         protocol = optimal_protocol("B1")
         noisy = apply_readout_noise(
             sequence_probabilities(protocol, 2),
-            protocol_detection_resolver(protocol),
+            protocol.bright,
             ReadoutNoise(),
         )
         value = evaluate_witness(get_witness("B1"), noisy)
@@ -212,7 +211,7 @@ class TestReadoutNoise:
         protocol = optimal_protocol("T")
         noisy = apply_readout_noise(
             sequence_probabilities(protocol, 3),
-            protocol_detection_resolver(protocol),
+            protocol.bright,
             ReadoutNoise(),
         )
         value = evaluate_witness(get_witness("T"), noisy)
@@ -222,7 +221,7 @@ class TestReadoutNoise:
         protocol = optimal_protocol("B3")
         noisy = apply_readout_noise(
             sequence_probabilities(protocol, 3),
-            protocol_detection_resolver(protocol),
+            protocol.bright,
             ReadoutNoise(0.9, 0.7),
         )
         assert np.allclose(noisy.probs.sum(axis=1), 1.0, atol=1e-12)
@@ -233,14 +232,9 @@ class TestReadoutNoise:
         # (any last setting; AoT makes them agree) equals noising the
         # two-step table.
         protocol = optimal_protocol("B2")
-        resolver = protocol_detection_resolver(protocol)
         noise = ReadoutNoise()
-        noisy3 = apply_readout_noise(
-            sequence_probabilities(protocol, 3), resolver, noise
-        )
-        noisy2 = apply_readout_noise(
-            sequence_probabilities(protocol, 2), resolver, noise
-        )
+        noisy3 = apply_readout_noise(sequence_probabilities(protocol, 3), protocol.bright, noise)
+        noisy2 = apply_readout_noise(sequence_probabilities(protocol, 2), protocol.bright, noise)
         probs3 = noisy3.probs.reshape(2, 2, 2, 2, 2, 2)  # x1 x2 x3 a1 a2 a3
         for last_setting in (0, 1):
             marginal = probs3[:, :, last_setting].sum(axis=-1).reshape(4, 4)
@@ -250,11 +244,17 @@ class TestReadoutNoise:
         sc = Scenario(1, 1, 3)
         table = CorrelationTable(sc, np.array([[0.2, 0.3, 0.5]]))
         with pytest.raises(ValueError, match="binary"):
-            apply_readout_noise(table, lambda x, a: "bright", ReadoutNoise())
+            apply_readout_noise(table, np.ones((1, 3), dtype=bool), ReadoutNoise())
 
-    def test_resolver_requires_detection_kinds(self):
+    @pytest.mark.parametrize("bright", [None, np.ones((2, 3), dtype=bool),
+                                        np.ones((1, 2), dtype=bool), np.ones((2, 2))])
+    def test_requires_a_bright_mask_of_the_table(self, bright):
+        # The trivial protocol has no mask; the others have the wrong shape
+        # or dtype for its two settings and two outcomes.
+        assert trivial_qubit_protocol().bright is None
+        table = sequence_probabilities(trivial_qubit_protocol(), 2)
         with pytest.raises(ValueError, match="detection-kind"):
-            protocol_detection_resolver(trivial_qubit_protocol())
+            apply_readout_noise(table, bright, ReadoutNoise())
 
 
 class TestEvaluateWitness:
@@ -320,7 +320,7 @@ class TestTableValidationAndSerialization:
         protocol = optimal_protocol("B3")
         noisy = apply_readout_noise(
             sequence_probabilities(protocol, 2),
-            protocol_detection_resolver(protocol),
+            protocol.bright,
             ReadoutNoise(),
         )
         text = format_correlation_table(noisy)
@@ -356,6 +356,26 @@ class TestTableValidationAndSerialization:
         text = format_correlation_table(CorrelationTable(Scenario(2, 2, 2), np.full((4, 4), 0.25)))
         text = text.replace(f"\n{key}: 2\n", f"\n{key}: {spelled}\n")
         with pytest.raises(ValueError, match=re.escape(repr(f"{key}: {spelled}"))):
+            parse_correlation_table(text)
+
+    def test_parse_reads_the_entries_the_writer_spells(self):
+        # np.clip keeps -0.0, which "%.12g" writes as -0.
+        table = CorrelationTable(Scenario(2, 1, 2), np.array([[1e-05, -0.0, 0.25, 0.74999]]))
+        text = format_correlation_table(table)
+        assert "00 ++ 1e-05\n00 +- -0\n00 -+ 0.25\n" in text
+        back = parse_correlation_table(text)
+        assert np.array_equal(back.probs.view(np.int64), table.probs.view(np.int64))
+
+    # float() read `+0.25`, `0_0.25` and `\u0660.\u0662\u0665` (Arabic-Indic
+    # digits) as 0.25; "%.12g" writes none of these spellings.
+    @pytest.mark.parametrize("spelled", [
+        "+0.25", "0_0.25", "\u0660.\u0662\u0665", ".25", "0.", "2.5E-1", "2.5e+1", "25e-2e-1",
+        "-0.0", "-1e-10", "0x1p-2", "nan", "inf",
+    ])
+    def test_parse_rejects_entries_the_writer_never_spells(self, spelled):
+        text = format_correlation_table(CorrelationTable(Scenario(1, 1, 2), np.array([[0.25, 0.75]])))
+        text = text.replace("\n0 + 0.25\n", f"\n0 + {spelled}\n")
+        with pytest.raises(ValueError, match=re.escape(repr(f"0 + {spelled}"))):
             parse_correlation_table(text)
 
     # A row labelled `\u06600` used to read as `00`: labels are looked up

@@ -38,7 +38,7 @@ def noisy_table(wid):
     length = get_witness(wid).scenario.length
     return simulator.apply_readout_noise(
         simulator.sequence_probabilities(protocol, length),
-        simulator.protocol_detection_resolver(protocol),
+        protocol.bright,
         simulator.ReadoutNoise(),
     )
 
@@ -173,9 +173,20 @@ class TestHoeffding:
 
     def test_reads_repetitions_from_counts(self):
         counts = table_one_counts("B1")
-        assert hoeffding_halfwidth(get_witness("B1"), counts) == pytest.approx(
+        assert hoeffding_halfwidth(get_witness("B1"), counts.repetitions) == pytest.approx(
             hoeffding_halfwidth(get_witness("B1"), 1000)
         )
+
+    def test_reads_the_shots_of_the_witness_rows(self):
+        # Rows are indexed as in the table; a row the witness does not use
+        # may have no shots.
+        sc = Scenario(2, 2, 2)
+        w = Witness(id="corners", scenario=sc, terms=(((1, 1), (0, 0), 1.0), ((0, 0), (0, 1), 1.0)))
+        shots = np.array([500, 0, 0, 2000])
+        t = hoeffding_halfwidth(w, shots)
+        assert 2 * math.exp(-2 * t**2 / (1 / 2000 + 1 / 500)) == pytest.approx(0.32, abs=1e-12)
+        with pytest.raises(ValueError, match=r"\(1, 1\) has zero repetitions"):
+            hoeffding_halfwidth(w, np.array([500, 0, 0, 0]))
 
     def test_rejects_non_binary_coefficients(self):
         sc = Scenario(2, 2, 2)
