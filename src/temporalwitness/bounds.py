@@ -306,9 +306,6 @@ def _lockstep_nelder_mead(
     lower, upper = np.array(box, dtype=float).T
     n = len(box)
 
-    def minus_objective(points):
-        return -objective_batch(points.T)
-
     def sort(sim, fsim):
         order = np.argsort(fsim, axis=1)
         by_run = np.arange(len(order))[:, None]
@@ -323,7 +320,7 @@ def _lockstep_nelder_mead(
     rows = list(range(len(starts)))
     first = min(n + 1, budget)
     fsim = np.full((len(rows), n + 1), np.inf)
-    fsim[:, :first] = minus_objective(sim[:, :first].reshape(-1, n)).reshape(len(rows), first)
+    fsim[:, :first] = -objective_batch(sim[:, :first].reshape(-1, n).T).reshape(len(rows), first)
     nfev = [first] * len(rows)
     # scipy sorts twice here; argsort need not keep ties in place.
     sim, fsim = sort(*sort(sim, fsim))
@@ -349,7 +346,7 @@ def _lockstep_nelder_mead(
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = TRIAL_STEPS[:, 0] * xbar[:, None] - TRIAL_STEPS[:, 1] * sim[:, -1:]
         trial = np.clip(trial, lower, upper)
-        ftrial = minus_objective(trial.reshape(-1, n)).reshape(-1, 4)
+        ftrial = -objective_batch(trial.reshape(-1, n).T).reshape(-1, 4)
         # scipy's branches on each run's trial values and its best, second
         # worst and worst vertex values; ``pick`` indexes TRIAL_STEPS.
         moved, picks, shrink = [], [], []
@@ -391,7 +388,7 @@ def _lockstep_nelder_mead(
             evaluate = axis < np.array(calls)[:, None]
             if evaluate.any():
                 part[:, 1:][evaluate] = shrunk[evaluate]
-                fpart[:, 1:][evaluate] = minus_objective(shrunk[evaluate])
+                fpart[:, 1:][evaluate] = -objective_batch(shrunk[evaluate].T)
             sim[shrink], fsim[shrink] = part, fpart
             for k, c in zip(shrink, calls):
                 nfev[k] += c

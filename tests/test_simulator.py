@@ -366,15 +366,15 @@ class TestTableValidationAndSerialization:
         back = parse_correlation_table(text)
         assert np.array_equal(back.probs.view(np.int64), table.probs.view(np.int64))
 
-    # float() read `+0.25`, `0_0.25` and `\u0660.\u0662\u0665` (Arabic-Indic
-    # digits) as 0.25; "%.12g" writes none of these spellings.
+    # float() reads `+0.25`, `0_0.25` and `\u0660.\u0662\u0665` (Arabic-Indic
+    # digits) as 0.25, but "%.12g" writes none of these spellings.
     @pytest.mark.parametrize("spelled", [
         "+0.25", "0_0.25", "\u0660.\u0662\u0665", ".25", "0.", "2.5E-1", "2.5e+1", "25e-2e-1",
         "-0.0", "-1e-10", "0x1p-2", "nan", "inf",
     ])
     def test_parse_rejects_entries_the_writer_never_spells(self, spelled):
-        text = format_correlation_table(CorrelationTable(Scenario(1, 1, 2), np.array([[0.25, 0.75]])))
-        text = text.replace("\n0 + 0.25\n", f"\n0 + {spelled}\n")
+        table = CorrelationTable(Scenario(1, 1, 2), np.array([[0.25, 0.75]]))
+        text = format_correlation_table(table).replace("\n0 + 0.25\n", f"\n0 + {spelled}\n")
         with pytest.raises(ValueError, match=re.escape(repr(f"0 + {spelled}"))):
             parse_correlation_table(text)
 

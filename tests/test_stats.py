@@ -181,7 +181,8 @@ class TestHoeffding:
         # Rows are indexed as in the table; a row the witness does not use
         # may have no shots.
         sc = Scenario(2, 2, 2)
-        w = Witness(id="corners", scenario=sc, terms=(((1, 1), (0, 0), 1.0), ((0, 0), (0, 1), 1.0)))
+        terms = (((1, 1), (0, 0), 1.0), ((0, 0), (0, 1), 1.0))
+        w = Witness(id="corners", scenario=sc, terms=terms)
         shots = np.array([500, 0, 0, 2000])
         t = hoeffding_halfwidth(w, shots)
         assert 2 * math.exp(-2 * t**2 / (1 / 2000 + 1 / 500)) == pytest.approx(0.32, abs=1e-12)
