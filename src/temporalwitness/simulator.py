@@ -54,10 +54,10 @@ from .protocols import OUTCOME_LABELS, Protocol, document_lines, natural
 
 TABLE_GUARD = 10**7
 
-# A table entry as "%.12g" writes a probability: ASCII digits, an optional
-# fraction and an optional negative exponent ("0.25", "1", "1e-05"), or
-# "-0" for the -0.0 that np.clip keeps.
-TABLE_ENTRY = re.compile(r"-0|[0-9]+(\.[0-9]+)?(e-[0-9]+)?")
+# A table entry as "%.12g" writes a probability: ASCII digits with an
+# optional fraction ("0.25", "1"), one digit and a negative exponent
+# ("1e-05", "2.5e-07"), or "-0" for the -0.0 that np.clip keeps.
+TABLE_ENTRY = re.compile(r"-0|[0-9]+(\.[0-9]+)?|[0-9](\.[0-9]+)?e-[0-9]+")
 
 
 class GuardExceeded(RuntimeError):

@@ -466,8 +466,8 @@ def parse_correlation_table(text):
 
 def table_entry(text, line):
     """A table entry as ``"%.12g"`` writes one in [0, 1]: ``-0``, or ASCII
-    digits with an optional fraction of ASCII digits and an optional
-    exponent ``e-`` and ASCII digits."""
+    digits with an optional fraction of ASCII digits and, after a single
+    leading digit, an optional exponent ``e-`` and ASCII digits."""
     mantissa, exp_sign, exponent = text.partition("e-")
     whole, point, fraction = mantissa.partition(".")
 
@@ -475,7 +475,7 @@ def table_entry(text, line):
         return part != "" and all(c in "0123456789" for c in part)
 
     if text != "-0" and not (digits(whole) and (not point or digits(fraction))
-                             and (not exp_sign or digits(exponent))):
+                             and (not exp_sign or (len(whole) == 1 and digits(exponent)))):
         raise ValueError(
             f"line {line!r} needs a finite ASCII decimal entry, as '%.12g' writes one in [0, 1]")
     return float(text)

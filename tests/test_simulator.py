@@ -369,7 +369,7 @@ class TestTableValidationAndSerialization:
     # float() reads `+0.25`, `0_0.25` and `\u0660.\u0662\u0665` (Arabic-Indic
     # digits) as 0.25, but "%.12g" writes none of these spellings.
     @pytest.mark.parametrize("spelled", [
-        "+0.25", "0_0.25", "\u0660.\u0662\u0665", ".25", "0.", "2.5E-1", "2.5e+1", "25e-2e-1",
+        "+0.25", "0_0.25", "\u0660.\u0662\u0665", ".25", "0.", "2.5E-1", "2.5e+1", "25e-2", "25e-2e-1",
         "-0.0", "-1e-10", "0x1p-2", "nan", "inf",
     ])
     def test_parse_rejects_entries_the_writer_never_spells(self, spelled):
