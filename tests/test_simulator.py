@@ -246,15 +246,15 @@ class TestReadoutNoise:
         with pytest.raises(ValueError, match="binary"):
             apply_readout_noise(table, np.ones((1, 3), dtype=bool), ReadoutNoise())
 
-    @pytest.mark.parametrize("bright", [None, np.ones((2, 3), dtype=bool),
-                                        np.ones((1, 2), dtype=bool), np.ones((2, 2))])
-    def test_requires_a_bright_mask_of_the_table(self, bright):
+    def test_requires_a_bright_mask(self):
         # The trivial protocol has no mask; the others have the wrong shape
         # or dtype for its two settings and two outcomes.
         assert trivial_qubit_protocol().bright is None
         table = sequence_probabilities(trivial_qubit_protocol(), 2)
-        with pytest.raises(ValueError, match="detection-kind"):
-            apply_readout_noise(table, bright, ReadoutNoise())
+        for bright in (None, np.ones((2, 3), dtype=bool), np.ones((1, 2), dtype=bool),
+                       np.ones((2, 2))):
+            with pytest.raises(ValueError, match="detection-kind"):
+                apply_readout_noise(table, bright, ReadoutNoise())
 
 
 class TestEvaluateWitness:
