@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +127,13 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class _JSONText(str):
-    """A machine-report value that is already JSON text."""
+@dataclass(frozen=True)
+class _JSONText:
+    """A machine-report value that is already JSON text. It holds the text
+    rather than being a ``str``, so :func:`_emit` hands ``text`` to
+    ``print`` as it stands and never copies it."""
+
+    text: str
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> None:
@@ -136,37 +141,45 @@ def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> Non
 
     The keys go in sorted order. Each run of ordinary values is written by
     one ``json.dumps(..., sort_keys=True)``; a :class:`_JSONText` value is
-    spliced in as written. The result is byte-identical to
+    spliced in as written. The report is printed piece by piece, with one
+    ``print(*pieces, sep="")``, so a long spliced text is written once and
+    never joined into a larger string. The result is byte-identical to
     ``json.dumps(report, sort_keys=True)`` of the report with that text
     decoded, provided the text holds only finite floats (``repr`` is what
     ``json`` writes for them) and strings that need no escaping.
     """
     if args.format == "machine":
         machine = {"tool": "temporalwitness", "version": __version__, **machine}
-        parts = []
+        pieces = []
         runs = itertools.groupby(sorted(machine.items()),
                                  key=lambda item: isinstance(item[1], _JSONText))
         for spliced, items in runs:
             if spliced:
-                parts += [f"{json.dumps(key)}: {value}" for key, value in items]
+                for key, value in items:
+                    pieces += [", ", json.dumps(key), ": ", value.text]
             else:
-                parts.append(json.dumps(dict(items), sort_keys=True)[1:-1])
-        print("{" + ", ".join(parts) + "}")
+                pieces += [", ", json.dumps(dict(items), sort_keys=True)[1:-1]]
+        pieces[0] = "{"
+        print(*pieces, "}", sep="")
     else:
         for line in text_lines:
             print(line)
 
 
-def _table_rows(table: CorrelationTable) -> _JSONText:
+def _table_rows(table: CorrelationTable) -> str:
     """The machine report's rows as JSON text: ``head + repr(p) + tail`` per
-    cell, one head per outcome label and one tail per setting label. Entries
-    are finite and labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
+    cell, one head per outcome label and one tail per setting label, and
+    the list's brackets on the first and last cells. Entries are finite and
+    labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
     x_labels, a_labels = sequence_labels(table.scenario)
     heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
     tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
-    return _JSONText("[" + ", ".join([head + p_txt + tail
-                                      for tail, row in zip(tails, entry_texts(table, repr))
-                                      for head, p_txt in zip(heads, row)]) + "]")
+    cells = [head + p_txt + tail
+             for tail, row in zip(tails, entry_texts(table, repr))
+             for head, p_txt in zip(heads, row)]
+    cells[0] = "[" + cells[0]
+    cells[-1] += "]"
+    return ", ".join(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +219,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     value = simulator.evaluate_witness(witness, table) if witness else None
 
     if args.format == "machine":
-        text, machine = [], {"command": "simulate", "length": length, "rows": _table_rows(table)}
+        text, machine = [], {"command": "simulate", "length": length,
+                             "rows": _JSONText(_table_rows(table))}
     else:
         text, machine = [simulator.format_correlation_table(table).rstrip("\n")], {}
     if args.noise is not None:

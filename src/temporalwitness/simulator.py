@@ -12,12 +12,14 @@ significant digit, so the view is a reshape and a transpose
 (:meth:`Scenario.to_history`, inverted by :meth:`Scenario.from_history`),
 and :attr:`Witness.coefficients` lays witness terms out the same way. The
 last two axes are the last step, so summing or contracting them moves one
-level up the tree: the simulator, readout noise, the nested qubit bound
-and the algebraic maximum are all loops over levels of this tensor. Two
-walkers elsewhere read the encoding itself rather than the view:
-``stats._fold``, behind the AoT statistics and ``stats.null_model_table``,
-sums a step's digit as strided slices of the index, and
-``polytope.check_aot`` reshapes the rows and columns into prefixes.
+level up the tree: the simulator, the nested qubit bound and the
+algebraic maximum are all loops over levels of this tensor. Three walkers
+elsewhere read the encoding itself rather than the view: readout noise
+updates one step's outcome axis at a time on the free reshape
+``(m,) * L + (d,) * L`` of the table, ``stats._fold``, behind the AoT
+statistics and ``stats.null_model_table``, sums a step's digit as strided
+slices of the index, and ``polytope.check_aot`` reshapes the rows and
+columns into prefixes.
 
 The simulator grows the tensor one level at a time. A measure-and-prepare
 step keeps nothing of the state it measured but its branch, so the
@@ -28,36 +30,30 @@ the tensor, broadcast over its earlier steps, by the transition tensor
 
 The text labels of the cells come from one enumeration per scenario,
 :func:`sequence_labels`, in index order: the table and counts-file writers
-zip them with the rows, and the readers map labels back to indices
+zip them with the rows, and the counts reader maps labels back to indices
 (:func:`sequence_indexers`). The entries' text comes from
 :func:`entry_texts`, which formats each distinct entry once, keyed on its
 bits: a table of Markov products repeats its entries (163 distinct of 4,096
-for the T protocol at length 6 with readout noise). The readers accept
-only the labels that :func:`sequence_labels` writes, read the header with
-:func:`parse_header`, the inverse of :func:`format_header`, and follow the
-grammar of ``protocols.document_lines`` and ``protocols.natural``: no key
-repeats and header numbers are ASCII decimal digits. Table entries are
-spelled as ``"%.12g"`` writes them (:data:`TABLE_ENTRY`). Errors quote the
-line.
+for the T protocol at length 6 with readout noise). Table files are only
+written, with entries spelled as ``"%.12g"`` writes them; no command reads
+one back. The counts reader accepts only the labels that
+:func:`sequence_labels` writes, reads the header with :func:`parse_header`,
+the inverse of :func:`format_header`, and follows the grammar of
+``protocols.document_lines`` and ``protocols.natural``: no key repeats and
+header numbers are ASCII decimal digits. Errors quote the line.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .protocols import OUTCOME_LABELS, Protocol, document_lines, natural
+from .protocols import OUTCOME_LABELS, Protocol, natural
 
 TABLE_GUARD = 10**7
-
-# A table entry as "%.12g" writes a probability: ASCII digits with an
-# optional fraction ("0.25", "1"), one digit and a negative exponent
-# ("1e-05", "2.5e-07"), or "-0" for the -0.0 that np.clip keeps.
-TABLE_ENTRY = re.compile(r"-0|[0-9]+(\.[0-9]+)?|[0-9](\.[0-9]+)?e-[0-9]+")
 
 
 class GuardExceeded(RuntimeError):
@@ -388,6 +384,10 @@ def apply_readout_noise(table: CorrelationTable, bright: np.ndarray | None,
     ``bright[x, a]`` marks the branches that fluoresce, as
     :attr:`Protocol.bright` does. The result stays normalized because each
     confusion column sums to one.
+
+    Each step is one two-term update on the reshape ``(m,) * L + (2,) * L``
+    of the table, whose axes are the setting digits and then the outcome
+    digits, so no transpose or copy of the table is needed to reach them.
     """
     scenario = table.scenario
     if scenario.outcomes != 2:
@@ -399,16 +399,19 @@ def apply_readout_noise(table: CorrelationTable, bright: np.ndarray | None,
     correct = np.where(mask, noise.p_bright_correct, noise.p_dark_correct)[..., None]
     # confusion[x, a, r]: probability of recording r on branch (x, a).
     confusion = np.where(np.eye(2, dtype=bool), correct, 1.0 - correct)
-    tensor = scenario.to_history(table.probs)
-    axes = list(range(tensor.ndim))
-    for x_axis in range(0, tensor.ndim, 2):
-        # Contract the true outcome of this step into the recorded one.
-        out = axes.copy()
-        out[x_axis + 1] = tensor.ndim
-        tensor = np.einsum(
-            tensor, axes, confusion, [x_axis, x_axis + 1, tensor.ndim], out
-        )
-    return CorrelationTable(scenario=scenario, probs=scenario.from_history(tensor))
+    length = scenario.length
+    tensor = table.probs.reshape((scenario.settings,) * length + (2,) * length)
+    for step in range(length):
+        # p[.., r, ..] = p[.., 0, ..] * confusion[x, 0, r]
+        #              + p[.., 1, ..] * confusion[x, 1, r] on this step's
+        # outcome axis, with x and r broadcast on its setting and outcome axes.
+        axis = length + step
+        shape = [1] * (2 * length)
+        shape[step], shape[axis] = scenario.settings, 2
+        lead = (slice(None),) * axis
+        tensor = (tensor[lead + (slice(0, 1),)] * confusion[:, 0].reshape(shape)
+                  + tensor[lead + (slice(1, 2),)] * confusion[:, 1].reshape(shape))
+    return CorrelationTable(scenario=scenario, probs=tensor.reshape(table.probs.shape))
 
 
 def evaluate_witness(witness: Witness, table: CorrelationTable) -> float:
@@ -475,30 +478,3 @@ def format_correlation_table(table: CorrelationTable) -> str:
     for x_txt, row in zip(x_labels, entry_texts(table, "%.12g".__mod__)):
         lines += map(" ".join, zip(itertools.repeat(x_txt), a_labels, row))
     return "\n".join(lines) + "\n"
-
-
-def parse_correlation_table(text: str) -> CorrelationTable:
-    """Read a table file: the header runs up to the first line without a
-    colon, and then each cell has one ``settings outcomes p`` row, with
-    ``p`` spelled as :data:`TABLE_ENTRY` allows."""
-    lines = document_lines(text, "correlation-table")
-    body_start = next((i for i, ln in enumerate(lines) if ":" not in ln), len(lines))
-    scenario, _ = parse_header(lines[:body_start], "table")
-    probs = np.zeros((scenario.num_setting_sequences, scenario.num_outcome_sequences))
-    seen = np.zeros(probs.shape, dtype=bool)
-    setting_index, outcome_index = sequence_indexers(scenario)
-    for ln in lines[body_start:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed table row: {ln!r}")
-        i, j = setting_index(parts[0]), outcome_index(parts[1])
-        if seen[i, j]:
-            raise ValueError(f"duplicate table row for {parts[0]} {parts[1]}")
-        seen[i, j] = True
-        if TABLE_ENTRY.fullmatch(parts[2]) is None:
-            raise ValueError(f"line {ln!r} needs a finite ASCII decimal entry, as '%.12g' "
-                             "writes one in [0, 1]")
-        probs[i, j] = float(parts[2])
-    if not seen.all():
-        raise ValueError("table file is missing rows")
-    return CorrelationTable(scenario=scenario, probs=probs)

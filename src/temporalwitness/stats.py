@@ -128,15 +128,17 @@ def hoeffding_halfwidth(
     Solves ``2 exp(-2 t^2 / sum_x 1/n_x) = 1 - confidence`` in closed form,
     where the sum runs over the witness's setting sequences. ``repetitions``
     is one shot count for every setting sequence, or the counts indexed as
-    the table rows. Valid only for 0/1 coefficients, for which the witness
-    is a mean of bounded variables.
+    the table rows. Valid only for 0/1 coefficients per cell, summed over
+    the terms that name it, for which each setting sequence's frequencies
+    score a variable in [0, 1] and the witness is a sum of their means.
     """
-    for _settings, _outcomes, coeff in witness.terms:
-        if coeff not in (0.0, 1.0):
-            raise ValueError(
-                "Hoeffding half-width requires 0/1 witness coefficients; "
-                f"got {coeff} (rescale the witness or derive a custom bound)"
-            )
+    cells = witness.coefficients
+    bad = cells[(cells != 0.0) & (cells != 1.0)]
+    if bad.size:
+        raise ValueError(
+            "Hoeffding half-width requires 0/1 witness coefficients per cell; "
+            f"got {bad[0]} (rescale the witness or derive a custom bound)"
+        )
     sc = witness.scenario
     shots = np.broadcast_to(repetitions, (sc.num_setting_sequences,))
     inv_sum = 0.0

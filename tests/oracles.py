@@ -2,7 +2,9 @@
 bound refinement.
 
 Each walker goes through the tree of measurement histories cell by cell or
-node by node, without the history-tensor view; ``refine`` runs one scipy
+node by node, without the history-tensor view, except
+``readout_noise_einsum``, the per-step contraction of that view that the
+strided noise update must match bit for bit; ``refine`` runs one scipy
 Nelder-Mead search per start on a scalar objective; the Monte Carlo AoT
 calibration draws and scores one replication at a time; the AoT check
 sums each constraint's cells one by one. They are the
@@ -94,6 +96,23 @@ def apply_readout_noise(table, bright, noise):
                     factor *= correct[t] if r_seq[t] == a_seq[t] else 1.0 - correct[t]
                 noisy[x_idx, r_idx] += factor
     return CorrelationTable(scenario=sc, probs=noisy)
+
+
+def readout_noise_einsum(table, bright, noise):
+    """Readout noise as a contraction of the history tensor: one einsum per
+    step takes the true outcome into the recorded one through the confusion
+    ``[x, a, r]``. It sums the same two products in the same order as
+    ``simulator.apply_readout_noise``, so the two agree bit for bit."""
+    sc = table.scenario
+    correct = np.where(bright, noise.p_bright_correct, noise.p_dark_correct)[..., None]
+    confusion = np.where(np.eye(2, dtype=bool), correct, 1.0 - correct)
+    tensor = sc.to_history(table.probs)
+    axes = list(range(tensor.ndim))
+    for x_axis in range(0, tensor.ndim, 2):
+        out = axes.copy()
+        out[x_axis + 1] = tensor.ndim
+        tensor = np.einsum(tensor, axes, confusion, [x_axis, x_axis + 1, tensor.ndim], out)
+    return CorrelationTable(scenario=sc, probs=sc.from_history(tensor))
 
 
 def prefix_counts(counts):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from temporalwitness import bounds, cli, protocols, simulator, stats
 from temporalwitness.cli import build_parser, format_counts_file, main, parse_counts_file
 from temporalwitness.simulator import Scenario
@@ -112,7 +114,7 @@ class TestLabelLimit:
         path, spec = settings_protocol(tmp_path, 10)
         code, out, _ = run(capsys, "simulate", "--protocol", str(path), "--length", "2")
         assert code == 0
-        table = simulator.parse_correlation_table(out)
+        table = oracles.parse_correlation_table(out)
         assert table.scenario == Scenario(2, 10, 2)
         expected = simulator.sequence_probabilities(spec.build(), 2).probs
         assert np.array_equal(table.probs, [[float(f"{p:.12g}") for p in row] for row in expected])
@@ -602,33 +604,6 @@ class TestMutatedCountsFiles:
                     assert code == 2, (argv[0], code, err)
 
 
-class TestMutatedTableFiles:
-    # A mutated table file is read, or refused with ValueError, or trips the
-    # guard: never another exception.
-    @MUTATIONS
-    @given(witness=st.sampled_from(["B1", "T"]), noisy=st.booleans(),
-           mutation=st.sampled_from(["drop", "repeat", "swap", "huge", "negative",
-                                     "non-decimal", "whitespace", "truncate"]),
-           data=st.data())
-    def test_only_value_errors(self, witness, noisy, mutation, data):
-        protocol = protocols.optimal_protocol(witness)
-        table = simulator.sequence_probabilities(
-            protocol, simulator.get_witness(witness).scenario.length)
-        if noisy:
-            table = simulator.apply_readout_noise(
-                table, protocol.bright,
-                simulator.ReadoutNoise(0.96, 0.98))
-        text = simulator.format_correlation_table(table)
-        if mutation == "truncate":
-            text = text[:data.draw(st.integers(0, len(text)))]
-        else:
-            text = "\n".join(mutated_lines(text.splitlines(), mutation, data)) + "\n"
-        try:
-            simulator.parse_correlation_table(text)
-        except (ValueError, simulator.GuardExceeded):
-            pass
-
-
 class TestMutatedProtocolFiles:
     # `simulate --protocol` of a mutated protocol file prints a table or
     # exits 2 or 3 with a message: never a traceback, and never a table
@@ -819,7 +794,9 @@ class TestAotTestCommand:
 MACHINE_COMMANDS = [
     ("simulate", "B1"),
     ("simulate", "T", "--noise", "0.96", "0.98"),
-    ("simulate", "--protocol", "{protocol}", "--length", "4"),
+    # The T protocol at every length from 1 to 6, ideal and noisy.
+    *(("simulate", "--protocol", "{protocol}", "--length", str(length), *noise)
+      for length in range(1, 7) for noise in ((), ("--noise", "0.96", "0.98"))),
     ("simulate", "--protocol", "{protocol}", "--length", "3", "--noise", "0.9", "1.0"),
     ("bound", "T", "--method", "closed"),
     ("bound", "B1", "--restarts", "2", "--seed", "3"),
@@ -834,7 +811,8 @@ MACHINE_COMMANDS = [
 class TestMachineReports:
     @pytest.mark.parametrize("argv", MACHINE_COMMANDS, ids=" ".join)
     def test_report_is_canonical_json(self, capsys, tmp_path, argv):
-        # Every report must read as json.dumps(report, sort_keys=True) writes it.
+        # Every report must read as json.dumps(report, sort_keys=True) writes
+        # it, on one line.
         protocol = tmp_path / "t.protocol"
         protocol.write_text(protocols.format_protocol_spec(protocols.OPTIMAL_PULSES["T"]))
         counts = tmp_path / "counts.txt"
@@ -843,4 +821,13 @@ class TestMachineReports:
         argv = [arg.format(protocol=protocol, counts=counts) for arg in argv]
         code, out, _ = run(capsys, *argv, "--format", "machine")
         assert code == 0
-        assert json.dumps(json.loads(out), sort_keys=True) == out.rstrip("\n")
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    def test_spliced_values_between_ordinary_keys(self, capsys):
+        # Sorted, the keys run: ordinary, two spliced, ordinary, spliced last.
+        machine = {"zz": cli._JSONText('{"a": -0.0}'), "alpha": 1, "rows": [0.25, None],
+                   "beta": cli._JSONText("[1.5, 5e-324]"), "beta2": cli._JSONText('"x"')}
+        cli._emit(argparse.Namespace(format="machine"), [], machine)
+        report = {"tool": "temporalwitness", "version": cli.__version__, "alpha": 1,
+                  "rows": [0.25, None], "beta": [1.5, 5e-324], "beta2": "x", "zz": {"a": -0.0}}
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"

@@ -199,6 +199,24 @@ class TestHoeffding:
         with pytest.raises(ValueError, match="zero repetitions"):
             hoeffding_halfwidth(get_witness("B1"), 0)
 
+    def test_rejects_a_repeated_cell(self):
+        # The cell (00, ++) named twice has coefficient 2, so its setting
+        # sequence scores a variable in [0, 2]: the one-term width, 0.0957
+        # at 100 shots and 68%, would be half what Hoeffding allows.
+        term = ((0, 0), (0, 0), 1.0)
+        w = Witness(id="twice", scenario=Scenario(2, 2, 2), terms=(term, term))
+        assert w.coefficients.max() == 2.0
+        with pytest.raises(ValueError, match="0/1 witness coefficients per cell; got 2.0"):
+            hoeffding_halfwidth(w, 100)
+
+    # The widths at 100 shots and 68% before the per-cell check.
+    @pytest.mark.parametrize("wid, width", [
+        *((b, 0.19144615241619825) for b in ("B1", "B2", "B3", "B4")),
+        ("T", 0.27074574521113426),
+    ])
+    def test_registry_witnesses_keep_their_width(self, wid, width):
+        assert hoeffding_halfwidth(get_witness(wid), 100) == width
+
 
 class TestQutritFraction:
     def test_reported_fractions(self):
