@@ -50,12 +50,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import qcore
+from . import DEFAULT_SEED, qcore
 from .simulator import GuardExceeded, Witness
 
-# Seed for the randomized restarts of the generic optimizer; fixed so that
-# reported traces are reproducible.
-DEFAULT_SEED = 20240601
 # Cells of the objective's temporaries per slab of an exhaustive grid. The
 # generic grid's slabs stay sized by the dense history tensor, though the
 # nested bound touches only its planned rows: at most 2048 points for T and

@@ -3,34 +3,25 @@ the polytope, and certify dimension from count files.
 
 Exit codes: 0 on success, 2 on invalid input, 3 when a size guard trips.
 Every command is deterministic given its inputs and seed; machine-readable
-reports embed both.
+reports embed both. Importing this module loads no numpy: each command
+imports the layers it runs when it is dispatched.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import DEFAULT_SEED, GuardExceeded, __version__
 
-from . import __version__, bounds, polytope, protocols, simulator, stats
-from .protocols import document_lines, natural
-from .simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    Scenario,
-    entry_texts,
-    format_header,
-    parse_header,
-    sequence_indexers,
-    sequence_labels,
-)
+if TYPE_CHECKING:  # the annotations' names; each command imports its layers itself
+    from . import polytope, simulator, stats
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,10 +39,12 @@ _UNPRINTABLE_COUNT = 10**4300
 def format_counts_file(
     counts: stats.CountsTable, witness_id: str | None = None
 ) -> str:
-    lines = format_header("counts", counts.scenario)
+    from . import simulator
+
+    lines = simulator.format_header("counts", counts.scenario)
     if witness_id is not None:
         lines.append(f"witness: {witness_id}")
-    x_labels, a_labels = sequence_labels(counts.scenario)
+    x_labels, a_labels = simulator.sequence_labels(counts.scenario)
     for x_txt, n, discarded, row in zip(x_labels, counts.repetitions.tolist(),
                                         counts.discarded.tolist(), counts.counts.tolist()):
         lines += ["", f"sequence: {x_txt}", f"n: {n}", f"discarded: {discarded}"]
@@ -69,13 +62,32 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     written in ASCII decimal digits with a value in ``[0, 2^63 - 1]``, and
     the sum is taken on Python ints, so no count can wrap the int64 tables.
     """
+    import numpy as np
+
+    from . import simulator, stats
+    from .protocols import document_lines, natural
+
     lines = document_lines(text, "counts")
     starts = [i for i, ln in enumerate(lines) if ln.startswith("sequence:")] + [len(lines)]
-    scenario, witness_id = parse_header(lines[:starts[0]], "counts", "witness")
+    # The header: one `key: value` line per known key, none repeated.
+    header: dict[str, int | str] = {}
+    for ln in lines[:starts[0]]:
+        key, sep, value = ln.partition(":")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in ("length", "settings", "outcomes", "witness"):
+            raise ValueError(f"unknown counts-file key {key!r}: {ln!r}")
+        if key in header:
+            raise ValueError(f"repeated counts-file key {key!r}: {ln!r}")
+        header[key] = value if key == "witness" else natural(value, ln)
+    try:
+        scenario = simulator.Scenario(header["length"], header["settings"], header["outcomes"])
+    except KeyError as exc:
+        raise ValueError(f"counts file is missing the {exc.args[0]!r} header") from None
+    witness_id = header.get("witness")
     # The outcome counts and the discards of each record, by setting index.
     rows: dict[int, list[int]] = {}
     discarded: dict[int, int] = {}
-    setting_index, outcome_index = sequence_indexers(scenario)
+    setting_index, outcome_index = simulator.sequence_indexers(scenario)
     for start, end in zip(starts, starts[1:]):
         x_txt = lines[start][len("sequence:"):].strip()
         x_idx = setting_index(x_txt)
@@ -124,6 +136,8 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
 # ---------------------------------------------------------------------------
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -166,16 +180,18 @@ def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> Non
             print(line)
 
 
-def _table_rows(table: CorrelationTable) -> str:
+def _table_rows(table: simulator.CorrelationTable) -> str:
     """The machine report's rows as JSON text: ``head + repr(p) + tail`` per
     cell, one head per outcome label and one tail per setting label, and
     the list's brackets on the first and last cells. Entries are finite and
     labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
-    x_labels, a_labels = sequence_labels(table.scenario)
+    from . import simulator
+
+    x_labels, a_labels = simulator.sequence_labels(table.scenario)
     heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
     tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
     cells = [head + p_txt + tail
-             for tail, row in zip(tails, entry_texts(table, repr))
+             for tail, row in zip(tails, simulator.entry_texts(table, repr))
              for head, p_txt in zip(heads, row)]
     cells[0] = "[" + cells[0]
     cells[-1] += "]"
@@ -187,6 +203,8 @@ def _table_rows(table: CorrelationTable) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import protocols, simulator
+
     witness = simulator.get_witness(args.witness) if args.witness else None
     if args.protocol is not None:
         spec = protocols.parse_protocol_spec(Path(args.protocol).read_text())
@@ -234,6 +252,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import bounds, simulator
+
     witness = simulator.get_witness(args.witness)
     if args.method == "closed":
         if witness.id != "T":
@@ -284,23 +304,27 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _format_strategy(strategy: polytope.DeterministicStrategy) -> str:
+    from . import simulator
+
     sc = strategy.scenario
-    _, symbols = sequence_labels(Scenario(1, sc.settings, sc.outcomes))
+    _, symbols = simulator.sequence_labels(simulator.Scenario(1, sc.settings, sc.outcomes))
     parts = []
     for t, table in enumerate(strategy.moves):
-        prefixes, _ = sequence_labels(Scenario(t + 1, sc.settings, sc.outcomes))
+        prefixes, _ = simulator.sequence_labels(simulator.Scenario(t + 1, sc.settings, sc.outcomes))
         assignments = (f"{prefix}->{symbols[outcome]}" for prefix, outcome in zip(prefixes, table))
         parts.append(f"f{t + 1}: " + " ".join(assignments))
     return "; ".join(parts)
 
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
+    from . import polytope, simulator
+
     if args.witness is not None:
         witness = simulator.get_witness(args.witness)
         scenario = witness.scenario
     elif args.scenario is not None:
         witness = None
-        scenario = Scenario(*args.scenario)
+        scenario = simulator.Scenario(*args.scenario)
     else:
         raise ValueError("give a witness id or --scenario LENGTH SETTINGS OUTCOMES")
     n_strategies = polytope.num_deterministic_strategies(scenario)
@@ -347,6 +371,8 @@ def _load_counts(args: argparse.Namespace) -> tuple[stats.CountsTable, str | Non
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from . import simulator, stats
+
     counts, witness_id, digest = _load_counts(args)
     if args.witness:
         witness_id = args.witness
@@ -379,6 +405,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_aot_test(args: argparse.Namespace) -> int:
+    from . import stats
+
     counts, _witness_id, digest = _load_counts(args)
     mc = None if args.montecarlo is None else stats.aot_lr_test_montecarlo(
         counts, args.montecarlo, args.seed)
@@ -407,6 +435,8 @@ def _cmd_aot_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from . import protocols, simulator, stats
+
     witness = simulator.get_witness(args.witness)
     protocol = protocols.optimal_protocol(witness.id)
     table = simulator.sequence_probabilities(protocol, witness.scenario.length)
@@ -456,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("witness")
     p.add_argument("--method", choices=("closed", "generic"), default="generic")
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
         "--grid-resolution", type=int,
         help="grid points per axis: closed 40 by default and at least 20; "
@@ -486,14 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--montecarlo", type=int, metavar="N",
         help="calibrate the p-value with N null-model replications",
     )
-    p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p)
     p.set_defaults(func=_cmd_aot_test)
 
     p = sub.add_parser("sample", help="draw synthetic counts from a simulated table")
     p.add_argument("witness")
     p.add_argument("--shots", type=int, required=True, help="repetitions per sequence")
-    p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
         "--noise", nargs=2, type=float, metavar=("BRIGHT", "DARK"),
         help="apply readout noise before sampling",

@@ -8,18 +8,17 @@ Every table of a scenario with ``m`` settings, ``d`` outcomes and length
 ``L`` also has a *history tensor* view of shape ``(m, d) * L``, with axes
 interleaved as ``x_1, a_1, ..., x_L, a_L``: one entry per leaf of the tree
 of measurement histories. Both encodings put the first step in the most
-significant digit, so the view is a reshape and a transpose
-(:meth:`Scenario.to_history`, inverted by :meth:`Scenario.from_history`),
-and :attr:`Witness.coefficients` lays witness terms out the same way. The
-last two axes are the last step, so summing or contracting them moves one
-level up the tree: the simulator, the nested qubit bound and the
-algebraic maximum are all loops over levels of this tensor. Three walkers
-elsewhere read the encoding itself rather than the view: readout noise
-updates one step's outcome axis at a time on the free reshape
-``(m,) * L + (d,) * L`` of the table, ``stats._fold``, behind the AoT
-statistics and ``stats.null_model_table``, sums a step's digit as strided
-slices of the index, and ``polytope.check_aot`` reshapes the rows and
-columns into prefixes.
+significant digit, so the view is a reshape and a transpose, which
+:meth:`Scenario.from_history` undoes, and :attr:`Witness.coefficients`
+lays witness terms out the same way. The last two axes are the last step,
+so summing or contracting them moves one level up the tree: the
+simulator, the nested qubit bound and the algebraic maximum are all loops
+over levels of this tensor. Three walkers elsewhere read the encoding
+itself rather than the view: readout noise updates one step's outcome axis
+at a time on the free reshape ``(m,) * L + (d,) * L`` of the table,
+``stats._fold``, behind the AoT statistics and ``stats.null_model_table``,
+sums a step's digit as strided slices of the index, and
+``polytope.check_aot`` reshapes the rows and columns into prefixes.
 
 The simulator grows the tensor one level at a time. A measure-and-prepare
 step keeps nothing of the state it measured but its branch, so the
@@ -36,9 +35,9 @@ zip them with the rows, and the counts reader maps labels back to indices
 bits: a table of Markov products repeats its entries (163 distinct of 4,096
 for the T protocol at length 6 with readout noise). Table files are only
 written, with entries spelled as ``"%.12g"`` writes them; no command reads
-one back. The counts reader accepts only the labels that
-:func:`sequence_labels` writes, reads the header with :func:`parse_header`,
-the inverse of :func:`format_header`, and follows the grammar of
+one back. The counts reader, ``cli.parse_counts_file``, accepts only the
+labels that :func:`sequence_labels` writes and the header that
+:func:`format_header` writes, and follows the grammar of
 ``protocols.document_lines`` and ``protocols.natural``: no key repeats and
 header numbers are ASCII decimal digits. Errors quote the line.
 """
@@ -51,13 +50,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .protocols import OUTCOME_LABELS, Protocol, natural
+from . import GuardExceeded
+from .protocols import OUTCOME_LABELS, Protocol
 
 TABLE_GUARD = 10**7
-
-
-class GuardExceeded(RuntimeError):
-    """A requested enumeration or table would exceed the size guard."""
 
 
 def __getattr__(name: str):
@@ -119,20 +115,9 @@ class Scenario:
     def num_outcome_sequences(self) -> int:
         return self.outcomes**self.length
 
-    def to_history(self, table: np.ndarray) -> np.ndarray:
-        """History-tensor view of a ``(setting sequence, outcome sequence)``
-        array, or of a stack of them on leading batch axes, which are kept
-        in front."""
-        length = self.length
-        batch = np.shape(table)[:-2]
-        arr = np.reshape(table, batch + (self.settings,) * length + (self.outcomes,) * length)
-        first = len(batch)
-        return arr.transpose([*range(first), *(first + t + length * j
-                                               for t in range(length) for j in (0, 1))])
-
     def from_history(self, tensor: np.ndarray) -> np.ndarray:
         """The ``(setting sequence, outcome sequence)`` array of a history
-        tensor; inverse of :meth:`to_history`."""
+        tensor, whose axes are ``x_1, a_1, ..., x_L, a_L``."""
         steps = range(0, 2 * self.length, 2)
         arr = np.transpose(tensor, [*steps, *(t + 1 for t in steps)])
         return arr.reshape(self.num_setting_sequences, self.num_outcome_sequences)
@@ -428,31 +413,11 @@ def evaluate_witness(witness: Witness, table: CorrelationTable) -> float:
 # ---------------------------------------------------------------------------
 
 def format_header(kind: str, scenario: Scenario) -> list[str]:
-    """The header lines of a table or counts file of ``kind``."""
+    """The header lines of a ``kind`` file: ``"correlation-table"`` files
+    are only written, and ``cli.parse_counts_file`` reads ``"counts"``
+    headers back."""
     return [f"{kind} v1", f"length: {scenario.length}", f"settings: {scenario.settings}",
             f"outcomes: {scenario.outcomes}"]
-
-
-def parse_header(lines: list[str], name: str,
-                 extra: str | None = None) -> tuple[Scenario, str | None]:
-    """Inverse of :func:`format_header`: the scenario that the header
-    ``lines`` of a ``name`` file declare, after its ``kind v1`` line, and
-    the value of its optional ``extra`` key. Each line is ``key: value``
-    with a known key, and no key repeats."""
-    header: dict[str, int | str] = {}
-    for ln in lines:
-        key, sep, value = ln.partition(":")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in ("length", "settings", "outcomes", extra):
-            raise ValueError(f"unknown {name}-file key {key!r}: {ln!r}")
-        if key in header:
-            raise ValueError(f"repeated {name}-file key {key!r}: {ln!r}")
-        header[key] = value if key == extra else natural(value, ln)
-    try:
-        scenario = Scenario(header["length"], header["settings"], header["outcomes"])
-    except KeyError as exc:
-        raise ValueError(f"{name} file is missing the {exc.args[0]!r} header") from None
-    return scenario, header.get(extra)
 
 
 def entry_texts(table: CorrelationTable, fmt: Callable[[float], str]) -> list[list[str]]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -333,6 +332,10 @@ def _chi2_sf(x: float, dof: int) -> float:
 
 
 def _sigma_equivalent(p_value: float) -> float:
+    # Imported here: ``statistics`` loads ``fractions`` and ``decimal``,
+    # which only the AoT test needs.
+    from statistics import NormalDist
+
     half = min(1.0, p_value) / 2.0
     if half <= 0.0:
         return math.inf

@@ -98,6 +98,19 @@ def apply_readout_noise(table, bright, noise):
     return CorrelationTable(scenario=sc, probs=noisy)
 
 
+def to_history(sc, table):
+    """History-tensor view, axes ``x_1, a_1, ..., x_L, a_L``, of a
+    ``(setting sequence, outcome sequence)`` array of scenario ``sc``, or of
+    a stack of them on leading batch axes, which are kept in front; the
+    inverse of ``Scenario.from_history``."""
+    length = sc.length
+    batch = np.shape(table)[:-2]
+    arr = np.reshape(table, batch + (sc.settings,) * length + (sc.outcomes,) * length)
+    first = len(batch)
+    return arr.transpose([*range(first), *(first + t + length * j
+                                           for t in range(length) for j in (0, 1))])
+
+
 def readout_noise_einsum(table, bright, noise):
     """Readout noise as a contraction of the history tensor: one einsum per
     step takes the true outcome into the recorded one through the confusion
@@ -106,7 +119,7 @@ def readout_noise_einsum(table, bright, noise):
     sc = table.scenario
     correct = np.where(bright, noise.p_bright_correct, noise.p_dark_correct)[..., None]
     confusion = np.where(np.eye(2, dtype=bool), correct, 1.0 - correct)
-    tensor = sc.to_history(table.probs)
+    tensor = to_history(sc, table.probs)
     axes = list(range(tensor.ndim))
     for x_axis in range(0, tensor.ndim, 2):
         out = axes.copy()

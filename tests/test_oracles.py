@@ -159,10 +159,10 @@ def test_history_view_of_stacked_tables(seed, dims, batch):
     sc = Scenario(*dims)
     tables = np.random.default_rng(seed).random(
         batch + (sc.num_setting_sequences, sc.num_outcome_sequences))
-    tensor = sc.to_history(tables)
+    tensor = oracles.to_history(sc, tables)
     assert tensor.shape == batch + (sc.settings, sc.outcomes) * sc.length
     for index in np.ndindex(batch):
-        assert np.array_equal(tensor[index], sc.to_history(tables[index]))
+        assert np.array_equal(tensor[index], oracles.to_history(sc, tables[index]))
 
 
 def null_model_counts(rng, sc, shots, sparsity, prefix_gap):

@@ -72,7 +72,7 @@ class TestScenario:
     def test_history_view_interleaves_steps(self):
         sc = Scenario(3, 2, 3)
         table = np.arange(sc.num_setting_sequences * sc.num_outcome_sequences).reshape(8, 27)
-        tensor = sc.to_history(table)
+        tensor = oracles.to_history(sc, table)
         assert tensor.shape == (2, 3, 2, 3, 2, 3)
         for x_idx in range(8):
             x_seq = decode_index(x_idx, 2, 3)
@@ -137,7 +137,7 @@ class TestWitnessRegistry:
         assert coeffs.sum() == 3.0
         table = sequence_probabilities(optimal_protocol("B1"), 2)
         assert evaluate_witness(w, table) == pytest.approx(
-            float(np.sum(coeffs * w.scenario.to_history(table.probs)))
+            float(np.sum(coeffs * oracles.to_history(w.scenario, table.probs)))
         )
 
 

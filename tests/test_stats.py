@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from temporalwitness import polytope, protocols, simulator, stats
 from temporalwitness.simulator import (
     CorrelationTable,
@@ -390,7 +391,7 @@ class TestAotLrTest:
         # observed statistic, beyond an absolute tolerance of 1e-12.
         counts = sample_counts(noisy_table("T"), 100_000, rng=18)
         sc = counts.scenario
-        history = sc.to_history(counts.counts)
+        history = oracles.to_history(sc, counts.counts)
         copies = iter([sc.from_history(np.flip(history, axes))
                        for r in range(1, 2 * sc.length + 1)
                        for axes in itertools.combinations(range(2 * sc.length), r)])
