@@ -24,13 +24,13 @@ class GuardExceeded(RuntimeError):
 # Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
     "qcore": "bloch_to_state",
-    "simulator": "CorrelationTable ReadoutNoise Scenario Witness WITNESSES apply_readout_noise "
-                 "evaluate_witness get_witness sequence_probabilities",
+    "scenario": "Scenario Witness WITNESSES get_witness",
+    "simulator": "CorrelationTable ReadoutNoise apply_readout_noise evaluate_witness "
+                 "sequence_probabilities",
     "protocols": "Protocol extremal_qubit_measurements optimal_protocol",
     "bounds": "BoundResult QubitBoundParams nested_generic_bound optimize_qubit_bound "
               "optimize_tee_bound tee_closed_form",
-    "polytope": "algebraic_max aot_constraints check_aot enumerate_deterministic_strategies "
-                "strategy_to_table",
+    "polytope": "algebraic_max aot_constraints check_aot enumerate_deterministic_strategies",
     "stats": "CertificationReport ConfidenceSpec CountsTable aot_lr_test certify frequencies "
              "hoeffding_halfwidth qutrit_fraction sample_counts",
 }.items() for name in names.split()}

@@ -50,8 +50,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import DEFAULT_SEED, qcore
-from .simulator import GuardExceeded, Witness
+from . import DEFAULT_SEED, GuardExceeded, qcore
+from .scenario import Witness
 
 # Cells of the objective's temporaries per slab of an exhaustive grid. The
 # generic grid's slabs stay sized by the dense history tensor, though the

@@ -3,8 +3,9 @@ the polytope, and certify dimension from count files.
 
 Exit codes: 0 on success, 2 on invalid input, 3 when a size guard trips.
 Every command is deterministic given its inputs and seed; machine-readable
-reports embed both. Importing this module loads no numpy: each command
-imports the layers it runs when it is dispatched.
+reports embed both. Importing this module loads neither numpy nor
+``dataclasses``: each command imports the layers it runs when it is
+dispatched, and ``polytope`` runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,12 +39,12 @@ _UNPRINTABLE_COUNT = 10**4300
 def format_counts_file(
     counts: stats.CountsTable, witness_id: str | None = None
 ) -> str:
-    from . import simulator
+    from .scenario import format_header, sequence_labels
 
-    lines = simulator.format_header("counts", counts.scenario)
+    lines = format_header("counts", counts.scenario)
     if witness_id is not None:
         lines.append(f"witness: {witness_id}")
-    x_labels, a_labels = simulator.sequence_labels(counts.scenario)
+    x_labels, a_labels = sequence_labels(counts.scenario)
     for x_txt, n, discarded, row in zip(x_labels, counts.repetitions.tolist(),
                                         counts.discarded.tolist(), counts.counts.tolist()):
         lines += ["", f"sequence: {x_txt}", f"n: {n}", f"discarded: {discarded}"]
@@ -64,8 +64,9 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     """
     import numpy as np
 
-    from . import simulator, stats
+    from . import stats
     from .protocols import document_lines, natural
+    from .scenario import Scenario, sequence_indexers
 
     lines = document_lines(text, "counts")
     starts = [i for i, ln in enumerate(lines) if ln.startswith("sequence:")] + [len(lines)]
@@ -80,14 +81,14 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
             raise ValueError(f"repeated counts-file key {key!r}: {ln!r}")
         header[key] = value if key == "witness" else natural(value, ln)
     try:
-        scenario = simulator.Scenario(header["length"], header["settings"], header["outcomes"])
+        scenario = Scenario(header["length"], header["settings"], header["outcomes"])
     except KeyError as exc:
         raise ValueError(f"counts file is missing the {exc.args[0]!r} header") from None
     witness_id = header.get("witness")
     # The outcome counts and the discards of each record, by setting index.
     rows: dict[int, list[int]] = {}
     discarded: dict[int, int] = {}
-    setting_index, outcome_index = simulator.sequence_indexers(scenario)
+    setting_index, outcome_index = sequence_indexers(scenario)
     for start, end in zip(starts, starts[1:]):
         x_txt = lines[start][len("sequence:"):].strip()
         x_idx = setting_index(x_txt)
@@ -141,13 +142,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
 class _JSONText:
     """A machine-report value that is already JSON text. It holds the text
     rather than being a ``str``, so :func:`_emit` hands ``text`` to
     ``print`` as it stands and never copies it."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> None:
@@ -186,8 +189,9 @@ def _table_rows(table: simulator.CorrelationTable) -> str:
     the list's brackets on the first and last cells. Entries are finite and
     labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
     from . import simulator
+    from .scenario import sequence_labels
 
-    x_labels, a_labels = simulator.sequence_labels(table.scenario)
+    x_labels, a_labels = sequence_labels(table.scenario)
     heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
     tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
     cells = [head + p_txt + tail
@@ -204,8 +208,9 @@ def _table_rows(table: simulator.CorrelationTable) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import protocols, simulator
+    from .scenario import get_witness
 
-    witness = simulator.get_witness(args.witness) if args.witness else None
+    witness = get_witness(args.witness) if args.witness else None
     if args.protocol is not None:
         spec = protocols.parse_protocol_spec(Path(args.protocol).read_text())
         protocol = spec.build()
@@ -252,9 +257,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    from . import bounds, simulator
+    from dataclasses import asdict
 
-    witness = simulator.get_witness(args.witness)
+    from . import bounds
+    from .scenario import get_witness
+
+    witness = get_witness(args.witness)
     if args.method == "closed":
         if witness.id != "T":
             raise ValueError("the closed form covers only the three-step witness T")
@@ -304,27 +312,30 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _format_strategy(strategy: polytope.DeterministicStrategy) -> str:
-    from . import simulator
+    from .scenario import Scenario, sequence_labels
 
     sc = strategy.scenario
-    _, symbols = simulator.sequence_labels(simulator.Scenario(1, sc.settings, sc.outcomes))
+    _, symbols = sequence_labels(Scenario(1, sc.settings, sc.outcomes))
     parts = []
     for t, table in enumerate(strategy.moves):
-        prefixes, _ = simulator.sequence_labels(simulator.Scenario(t + 1, sc.settings, sc.outcomes))
+        prefixes, _ = sequence_labels(Scenario(t + 1, sc.settings, sc.outcomes))
         assignments = (f"{prefix}->{symbols[outcome]}" for prefix, outcome in zip(prefixes, table))
         parts.append(f"f{t + 1}: " + " ".join(assignments))
     return "; ".join(parts)
 
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
-    from . import polytope, simulator
+    from dataclasses import asdict
+
+    from . import polytope
+    from .scenario import Scenario, get_witness
 
     if args.witness is not None:
-        witness = simulator.get_witness(args.witness)
+        witness = get_witness(args.witness)
         scenario = witness.scenario
     elif args.scenario is not None:
         witness = None
-        scenario = simulator.Scenario(*args.scenario)
+        scenario = Scenario(*args.scenario)
     else:
         raise ValueError("give a witness id or --scenario LENGTH SETTINGS OUTCOMES")
     n_strategies = polytope.num_deterministic_strategies(scenario)
@@ -371,14 +382,17 @@ def _load_counts(args: argparse.Namespace) -> tuple[stats.CountsTable, str | Non
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from . import simulator, stats
+    from dataclasses import asdict
+
+    from . import stats
+    from .scenario import get_witness
 
     counts, witness_id, digest = _load_counts(args)
     if args.witness:
         witness_id = args.witness
     if witness_id is None:
         raise ValueError("counts file names no witness; pass --witness")
-    witness = simulator.get_witness(witness_id)
+    witness = get_witness(witness_id)
     report = stats.certify(witness, counts, stats.ConfidenceSpec(args.confidence))
     verdict = "dimension >= 3 certified" if report.certified else "not certified"
     text = [
@@ -405,6 +419,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_aot_test(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import stats
 
     counts, _witness_id, digest = _load_counts(args)
@@ -436,8 +452,9 @@ def _cmd_aot_test(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     from . import protocols, simulator, stats
+    from .scenario import get_witness
 
-    witness = simulator.get_witness(args.witness)
+    witness = get_witness(args.witness)
     protocol = protocols.optimal_protocol(witness.id)
     table = simulator.sequence_probabilities(protocol, witness.scenario.length)
     if args.noise is not None:

@@ -10,18 +10,15 @@ assigning an outcome to every setting prefix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+from . import GuardExceeded
+from .scenario import Scenario, Witness, encode_sequence
 
-from .simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    Scenario,
-    Witness,
-    encode_sequence,
-)
+if TYPE_CHECKING:  # check_aot's argument; the rest of the module needs no numpy
+    from .simulator import CorrelationTable
 
 ENUMERATION_GUARD = 10**7
 
@@ -103,6 +100,8 @@ def check_aot(table: CorrelationTable, tol: float = 1e-10) -> list[tuple[AoTCons
     satisfies every constraint to within ``tol``. The prefix marginals of
     every level and completion pair are compared in one vector, in the order
     of :func:`aot_constraints`, which is built only for a violation."""
+    import numpy as np
+
     m, d, length = table.scenario.settings, table.scenario.outcomes, table.scenario.length
     diffs = [np.zeros(0)]
     for k in range(1, length):
@@ -134,13 +133,6 @@ class DeterministicStrategy:
     scenario: Scenario
     moves: tuple[tuple[int, ...], ...]
 
-    def outcome_sequence(self, settings: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for t in range(len(settings)):
-            prefix = encode_sequence(settings[: t + 1], self.scenario.settings)
-            out.append(self.moves[t][prefix])
-        return tuple(out)
-
 
 def strategy_exponent(scenario: Scenario) -> int:
     """``E`` in the strategy count ``d^E``: the number of setting prefixes,
@@ -168,39 +160,51 @@ def enumerate_deterministic_strategies(scenario: Scenario) -> Iterator[Determini
         yield DeterministicStrategy(scenario=scenario, moves=tuple(combo))
 
 
-def strategy_to_table(strategy: DeterministicStrategy) -> CorrelationTable:
-    """The 0/1 correlation table of a strategy; satisfies AoT exactly."""
-    sc = strategy.scenario
-    probs = np.zeros((sc.num_setting_sequences, sc.num_outcome_sequences))
-    x_seqs = itertools.product(range(sc.settings), repeat=sc.length)
-    for x_idx, x_seq in enumerate(x_seqs):
-        a_seq = strategy.outcome_sequence(x_seq)
-        probs[x_idx, encode_sequence(a_seq, sc.outcomes)] = 1.0
-    return CorrelationTable(scenario=sc, probs=probs)
-
-
 def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]:
     """Exact maximum of a witness over all deterministic strategies,
     together with every maximizer (lexicographic order).
 
-    A backward loop over the levels of the coefficient tensor takes the
-    best outcome at each history and sums over the next setting. The
+    A backward loop over the levels of the history tree takes the best
+    outcome at each node, a history and its next setting, and sums over
+    the next setting. Only the histories ``(x1, a1, ..., xt, at)`` that
+    lead to a term are kept. Any other history is worth 0 whatever
+    follows, so every outcome ties at each setting prefix below it. The
     maximizers are the strategies that pick a best outcome (to within
-    1e-12) at every history on their path, so they are counted, and then
-    built, without enumerating the other strategies.
+    1e-12) at every history on their path, so they are counted exactly,
+    and then built, without enumerating the other strategies.
     """
     sc = witness.scenario
-    values = witness.coefficients
-    count = np.ones(values.shape)  # maximizing continuations of each history
-    best = []
-    for _ in range(sc.length):
-        top = values.max(axis=-1, keepdims=True)
-        best.append(values >= top - 1e-12)
-        count = np.where(best[-1], count, 0.0).sum(axis=-1).prod(axis=-1)
-        values = top[..., 0].sum(axis=-1)
+    m, d, length = sc.settings, sc.outcomes, sc.length
+    values: dict[tuple[int, ...], float] = {}
+    for settings, outcomes, coeff in witness.terms:
+        history = tuple(v for pair in zip(settings, outcomes) for v in pair)
+        values[history] = values.get(history, 0.0) + coeff
+    counts = dict.fromkeys(values, 1)  # maximizing continuations of each history
+    best: list[dict[tuple[int, ...], list[int]]] = []
+    for t in range(length, 0, -1):
+        # A history of t steps that leads to no term leaves every outcome
+        # of its later setting prefixes tied.
+        free = d ** sum(m**k for k in range(1, length - t + 1))
+        step_best, up_values, up_counts, nodes = {}, {}, {}, {}
+        for node in sorted({history[:-1] for history in values}):
+            row = [values.get((*node, a), 0.0) for a in range(d)]
+            top = max(row)
+            step_best[node] = [a for a in range(d) if row[a] >= top - 1e-12]
+            parent = node[:-1]
+            up_values[parent] = up_values.get(parent, 0.0) + top
+            up_counts[parent] = up_counts.get(parent, 1) * sum(
+                counts.get((*node, a), free) for a in step_best[node])
+            nodes[parent] = nodes.get(parent, 0) + 1
+        # Each setting that leads to no term has all d outcomes tied.
+        counts = {parent: count * (d * free) ** (m - nodes[parent])
+                  for parent, count in up_counts.items()}
+        values = up_values
+        best.append(step_best)
     best.reverse()
+    count = counts.get((), num_deterministic_strategies(sc))
     if count > ENUMERATION_GUARD:
-        raise GuardExceeded(f"{float(count):.0f} maximizing strategies exceed the guard")
+        raise GuardExceeded(
+            f"about 10^{math.log10(count):.1f} maximizing strategies exceed the guard")
 
     # Extend the partial maximizers node by node in enumeration order, each
     # by every best outcome at the history its moves lead the node to.
@@ -210,8 +214,8 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
             extended = []
             for moves in partial:
                 history = [v for s in range(t) for v in (prefix[s], moves[prefix[: s + 1]])]
-                for a in np.flatnonzero(best[t][(*history, prefix[t])]):
-                    extended.append({**moves, prefix: int(a)})
+                for a in best[t].get((*history, prefix[t]), range(d)):
+                    extended.append({**moves, prefix: a})
             partial = extended
     maximizers = [
         DeterministicStrategy(scenario=sc, moves=tuple(
@@ -220,4 +224,4 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
         ))
         for moves in partial
     ]
-    return float(values), maximizers
+    return float(values.get((), 0.0)), maximizers

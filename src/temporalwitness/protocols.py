@@ -19,8 +19,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra, pauli_matrices
-
-OUTCOME_LABELS = ("+", "-")
+from .scenario import OUTCOME_LABELS
 
 
 class PulsePrimitive(enum.Enum):

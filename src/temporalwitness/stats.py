@@ -27,17 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import polytope
+from . import GuardExceeded, polytope
 from .protocols import INT64_MAX
-from .simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    Scenario,
-    Witness,
-    decode_index,
-    encode_sequence,
-    evaluate_witness,
-)
+from .scenario import Scenario, Witness, decode_index, encode_sequence
+from .simulator import CorrelationTable, evaluate_witness
 
 # Table cells per chunk of Monte Carlo replications drawn and scored at once.
 MC_CHUNK_CELLS = 1 << 14

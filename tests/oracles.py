@@ -10,9 +10,11 @@ calibration draws and scores one replication at a time; the AoT check
 sums each constraint's cells one by one. They are the
 references for the randomized comparisons in ``test_oracles.py``. The
 table and counts-file writers and readers decode, parse and encode every
-label cell by cell.
+label cell by cell, and ``strategy_to_table`` writes a deterministic
+strategy's 0/1 table one setting sequence at a time.
 """
 
+import itertools
 import math
 import re
 from decimal import Decimal
@@ -22,16 +24,16 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
-from temporalwitness.protocols import OUTCOME_LABELS
 from temporalwitness.qcore import PSD_TOL, check_bloch_parameters, identity, pauli_matrices
-from temporalwitness.simulator import (
-    CorrelationTable,
+from temporalwitness.scenario import (
+    OUTCOME_LABELS,
     Scenario,
     decode_index,
     encode_sequence,
     parse_outcome_sequence,
     parse_setting_sequence,
 )
+from temporalwitness.simulator import CorrelationTable
 
 
 def branch_kraus_operators(effect, preparation):
@@ -292,6 +294,23 @@ def grid_top_ten(objective_batch, axes):
     flat = objective_batch([axis[i] for axis, i in zip(axes, index)])
     order = np.argsort(-flat, kind="stable")[:10]
     return order, flat[order]
+
+
+def outcome_sequence(strategy, settings):
+    """The outcomes a deterministic strategy gives a setting sequence."""
+    m = strategy.scenario.settings
+    return tuple(strategy.moves[t][encode_sequence(settings[: t + 1], m)]
+                 for t in range(len(settings)))
+
+
+def strategy_to_table(strategy):
+    """The 0/1 correlation table of a strategy; satisfies AoT exactly."""
+    sc = strategy.scenario
+    probs = np.zeros((sc.num_setting_sequences, sc.num_outcome_sequences))
+    x_seqs = itertools.product(range(sc.settings), repeat=sc.length)
+    for x_idx, x_seq in enumerate(x_seqs):
+        probs[x_idx, encode_sequence(outcome_sequence(strategy, x_seq), sc.outcomes)] = 1.0
+    return CorrelationTable(scenario=sc, probs=probs)
 
 
 def algebraic_max(witness):

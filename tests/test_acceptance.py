@@ -18,7 +18,7 @@ from temporalwitness.bounds import (
     optimize_qubit_bound,
     tee_closed_form,
 )
-from temporalwitness.simulator import Scenario, get_witness
+from temporalwitness.scenario import Scenario, get_witness
 
 ALL_WITNESSES = ("B1", "B2", "B3", "B4", "T")
 QUBIT_BOUNDS = {"B1": 3.0, "B2": 3.0, "B3": 3.186, "B4": 3.186, "T": 5.226}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import util
-from temporalwitness import bounds, simulator
+from temporalwitness import GuardExceeded, bounds, simulator
 from temporalwitness.bounds import (
     QubitBoundParams,
     nested_generic_bound,
@@ -14,7 +14,7 @@ from temporalwitness.bounds import (
     optimize_tee_bound,
     tee_closed_form,
 )
-from temporalwitness.simulator import Scenario, Witness, get_witness
+from temporalwitness.scenario import Scenario, Witness, get_witness
 
 
 def extremal_to_effect_params(p, q, cos_gamma):
@@ -228,7 +228,7 @@ class TestMultistart:
         monkeypatch.setattr(bounds, "GRID_GUARD_POINTS", 20**3)
         result = optimize_tee_bound(grid_resolution=20, refinement_budget=1)
         assert result.evaluations == 20**3 + 10
-        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+        with pytest.raises(GuardExceeded, match="exceeds the guard"):
             optimize_tee_bound(grid_resolution=21)
 
     def test_guard_counts_refinement_points(self, monkeypatch):
@@ -237,7 +237,7 @@ class TestMultistart:
 
         monkeypatch.setattr(bounds, "GRID_GUARD_POINTS", 120)
         box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
-        with pytest.raises(simulator.GuardExceeded,
+        with pytest.raises(GuardExceeded,
                            match="12 refinement starts of up to 11 evaluations each exceed"):
             bounds._multistart(objective, box, 2, 1, 2, None, 11)
         # (10 + 2) starts of 10 evaluations sit at the guard and run.
@@ -252,9 +252,9 @@ class TestMultistart:
 
         box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
         assert resolution**3 > bounds.GRID_GUARD_POINTS
-        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+        with pytest.raises(GuardExceeded, match="exceeds the guard"):
             bounds._multistart(objective, box, resolution, 1, 0, None, 1)
-        with pytest.raises(simulator.GuardExceeded, match="exceeds the guard"):
+        with pytest.raises(GuardExceeded, match="exceeds the guard"):
             optimize_tee_bound(grid_resolution=resolution)
 
     def test_rejects_empty_grid(self):

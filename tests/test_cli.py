@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from temporalwitness import bounds, cli, protocols, simulator, stats
 from temporalwitness.cli import build_parser, format_counts_file, main, parse_counts_file
-from temporalwitness.simulator import Scenario
+from temporalwitness.scenario import Scenario, get_witness
 
 
 def run(capsys, *argv):
@@ -579,7 +579,7 @@ class TestMutatedCountsFiles:
            data=st.data())
     def test_exit_is_clean(self, witness, seed, mutation, data):
         rng = np.random.default_rng(seed)
-        sc = simulator.get_witness(witness).scenario
+        sc = get_witness(witness).scenario
         table = simulator.sequence_probabilities(protocols.optimal_protocol(witness), sc.length)
         counts = stats.sample_counts(table, int(rng.integers(1, 40)), rng,
                                      discarded=rng.integers(0, 3, sc.num_setting_sequences))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import util
-from temporalwitness import polytope, protocols, simulator
+from oracles import strategy_to_table
+from temporalwitness import GuardExceeded, polytope, protocols, simulator
 from temporalwitness.polytope import (
     algebraic_max,
     aot_constraints,
@@ -14,15 +15,9 @@ from temporalwitness.polytope import (
     enumerate_deterministic_strategies,
     independent_constraint_count,
     num_deterministic_strategies,
-    strategy_to_table,
 )
-from temporalwitness.simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    Scenario,
-    Witness,
-    get_witness,
-)
+from temporalwitness.scenario import Scenario, Witness, decode_index, get_witness
+from temporalwitness.simulator import CorrelationTable
 
 
 class TestConstraints:
@@ -129,7 +124,7 @@ class TestStrategyTables:
         strategy = polytope.DeterministicStrategy(scenario, ((0, 0), (0, 0, 0, 0)))
         table = strategy_to_table(strategy)
         for x_idx in range(4):
-            x_seq = simulator.decode_index(x_idx, 2, 2)
+            x_seq = decode_index(x_idx, 2, 2)
             assert table.prob(x_seq, (0, 0)) == 1.0
 
     def test_first_witness_maximizer(self):
@@ -137,7 +132,7 @@ class TestStrategyTables:
         # reaching the two-step maximum.
         scenario = Scenario(2, 2, 2)
         moves2 = tuple(0 if x1 == x2 else 1 for x1, x2 in
-                       (simulator.decode_index(i, 2, 2) for i in range(4)))
+                       (decode_index(i, 2, 2) for i in range(4)))
         strategy = polytope.DeterministicStrategy(scenario, ((0, 0), moves2))
         table = strategy_to_table(strategy)
         value = simulator.evaluate_witness(get_witness("B1"), table)
@@ -190,6 +185,15 @@ class TestAlgebraicMax:
     def test_guard_counts_maximizers(self):
         w = Witness(id="single", scenario=Scenario(4, 3, 3), terms=(((0,) * 4, (0,) * 4, 1.0),))
         with pytest.raises(GuardExceeded):
+            algebraic_max(w)
+
+    def test_guard_visits_only_the_terms_histories(self):
+        # 2^4094 strategies, of which the 2^4072 that answer the two terms'
+        # 22 setting prefixes maximize. The walk visits only those 22 nodes;
+        # one over all 4^11 histories takes seconds.
+        w = Witness(id="pair", scenario=Scenario(11, 2, 2),
+                    terms=(((0,) * 11, (0,) * 11, 1.0), ((1,) * 11, (1,) * 11, 1.0)))
+        with pytest.raises(GuardExceeded, match=r"about 10\^1225\.8 maximizing strategies"):
             algebraic_max(w)
 
     def test_quantum_tables_stay_below(self):

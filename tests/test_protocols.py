@@ -21,6 +21,7 @@ from temporalwitness.protocols import (
     parse_pulse_token,
 )
 from temporalwitness.qcore import basis_ket, identity, ketbra
+from temporalwitness.scenario import WITNESSES, get_witness
 
 
 def block(tokens):
@@ -125,7 +126,7 @@ class TestOptimalProtocols:
     def test_repeated_setting_is_deterministic_where_required(self):
         # Each witness demands a fixed outcome when the same setting is
         # repeated from its own post-measurement state.
-        for wid, w in simulator.WITNESSES.items():
+        for wid, w in WITNESSES.items():
             p = optimal_protocol(wid)
             for settings, outcomes, _ in w.terms:
                 for t in range(1, len(settings)):
@@ -141,7 +142,7 @@ class TestPhaseInvariance:
     def test_random_phases_leave_tables_unchanged(self):
         rng = np.random.default_rng(10)
         for wid in ("B1", "B3", "T"):
-            length = simulator.get_witness(wid).scenario.length
+            length = get_witness(wid).scenario.length
             reference = simulator.sequence_probabilities(optimal_protocol(wid), length)
             for _ in range(5):
                 phases = PhaseConfig(

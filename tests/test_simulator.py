@@ -7,22 +7,26 @@ import numpy as np
 import pytest
 
 import oracles
-from temporalwitness import polytope, protocols, simulator
+from temporalwitness import GuardExceeded, polytope, protocols, simulator
 from temporalwitness.protocols import optimal_protocol
 from temporalwitness.qcore import identity, ketbra
-from temporalwitness.simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    ReadoutNoise,
-    Scenario,
+from temporalwitness.scenario import (
     WITNESSES,
+    Scenario,
     Witness,
-    apply_readout_noise,
     decode_index,
     encode_sequence,
+    get_witness,
+    parse_outcome_sequence,
+    parse_setting_sequence,
+    sequence_labels,
+)
+from temporalwitness.simulator import (
+    CorrelationTable,
+    ReadoutNoise,
+    apply_readout_noise,
     evaluate_witness,
     format_correlation_table,
-    get_witness,
     sequence_probabilities,
 )
 
@@ -393,14 +397,14 @@ class TestTableValidationAndSerialization:
 
     @pytest.mark.parametrize("scenario", [Scenario(2, 2, 2), Scenario(2, 2, 3)])
     def test_parse_sequence_takes_label_symbols_only(self, scenario):
-        assert simulator.parse_setting_sequence("01", scenario) == (0, 1)
-        for parse in (simulator.parse_setting_sequence, simulator.parse_outcome_sequence):
+        assert parse_setting_sequence("01", scenario) == (0, 1)
+        for parse in (parse_setting_sequence, parse_outcome_sequence):
             with pytest.raises(ValueError, match="bad (setting|outcome) sequence"):
                 parse("\u06601", scenario)
 
     def test_labels_stop_at_ten_settings_and_outcomes(self):
-        x_labels, a_labels = simulator.sequence_labels(Scenario(2, 10, 10))
+        x_labels, a_labels = sequence_labels(Scenario(2, 10, 10))
         assert x_labels[-1] == a_labels[-1] == "99"
         for scenario in (Scenario(2, 11, 2), Scenario(2, 2, 11)):
             with pytest.raises(ValueError, match="one digit per step"):
-                simulator.sequence_labels(scenario)
+                sequence_labels(scenario)

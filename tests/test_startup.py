@@ -20,14 +20,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # The names the package exported by eager imports, by defining submodule.
 PUBLIC = {
     "qcore": ["bloch_to_state"],
-    "simulator": ["CorrelationTable", "ReadoutNoise", "Scenario", "Witness", "WITNESSES",
-                  "apply_readout_noise", "evaluate_witness", "get_witness",
+    "scenario": ["Scenario", "Witness", "WITNESSES", "get_witness"],
+    "simulator": ["CorrelationTable", "ReadoutNoise", "apply_readout_noise", "evaluate_witness",
                   "sequence_probabilities"],
     "protocols": ["Protocol", "extremal_qubit_measurements", "optimal_protocol"],
     "bounds": ["BoundResult", "QubitBoundParams", "nested_generic_bound",
                "optimize_qubit_bound", "optimize_tee_bound", "tee_closed_form"],
     "polytope": ["algebraic_max", "aot_constraints", "check_aot",
-                 "enumerate_deterministic_strategies", "strategy_to_table"],
+                 "enumerate_deterministic_strategies"],
     "stats": ["CertificationReport", "ConfidenceSpec", "CountsTable", "aot_lr_test", "certify",
               "frequencies", "hoeffding_halfwidth", "qutrit_fraction", "sample_counts"],
 }
@@ -62,15 +62,36 @@ def test_cli_import_loads_no_numpy_scipy_or_layer():
     assert loaded_modules() == {"temporalwitness.cli"}
 
 
+def test_cli_import_loads_no_dataclasses():
+    # A site hook may load dataclasses before the CLI does, so only the
+    # modules that the import itself adds count.
+    proc = run_python("import json, sys\n"
+                      "before = set(sys.modules)\n"
+                      "import temporalwitness.cli\n"
+                      "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "temporalwitness.cli" in added and "dataclasses" not in added
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["bound", "T", "--method", "closed"], {"stats", "polytope"}),
-    (["polytope", "B1"], {"bounds", "stats"}),
+    (["bound", "T", "--method", "closed"], {"stats", "polytope", "simulator", "protocols"}),
     (["simulate", "B1"], {"bounds", "stats", "polytope"}),
 ])
 def test_command_loads_only_its_layers(argv, absent):
     loaded = loaded_modules(*argv)
     assert "numpy" in loaded and "scipy" not in loaded
     assert not {f"temporalwitness.{layer}" for layer in absent} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "B1"],
+    ["polytope", "T", "--format", "machine"],
+    ["polytope", "--scenario", "5", "2", "2"],
+])
+def test_polytope_runs_on_the_standard_library(argv):
+    assert loaded_modules(*argv) == {"temporalwitness.cli", "temporalwitness.polytope",
+                                     "temporalwitness.scenario"}
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -101,7 +122,7 @@ def test_public_name_is_its_submodule_object(module, name):
 
 def test_names_defined_by_the_package_are_the_layers_names():
     assert bounds.DEFAULT_SEED is temporalwitness.DEFAULT_SEED
-    assert import_module("temporalwitness.simulator").GuardExceeded \
+    assert import_module("temporalwitness.scenario").GuardExceeded \
         is temporalwitness.GuardExceeded
     assert {"DEFAULT_SEED", "GuardExceeded", "__version__"} <= set(dir(temporalwitness))
 

@@ -10,16 +10,9 @@ import numpy as np
 import pytest
 
 import oracles
-from temporalwitness import polytope, protocols, simulator, stats
-from temporalwitness.simulator import (
-    CorrelationTable,
-    GuardExceeded,
-    Scenario,
-    Witness,
-    decode_index,
-    encode_sequence,
-    get_witness,
-)
+from temporalwitness import GuardExceeded, polytope, protocols, simulator, stats
+from temporalwitness.scenario import Scenario, Witness, decode_index, encode_sequence, get_witness
+from temporalwitness.simulator import CorrelationTable
 from temporalwitness.stats import (
     ConfidenceSpec,
     CountsTable,
