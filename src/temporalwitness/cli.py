@@ -333,6 +333,12 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     if args.witness is not None:
         witness = get_witness(args.witness)
         scenario = witness.scenario
+        shape = (scenario.length, scenario.settings, scenario.outcomes)
+        if args.scenario is not None and tuple(args.scenario) != shape:
+            raise ValueError(
+                f"--scenario {' '.join(map(str, args.scenario))} does not match witness "
+                f"{witness.id}, whose scenario is {' '.join(map(str, shape))}"
+            )
     elif args.scenario is not None:
         witness = None
         scenario = Scenario(*args.scenario)
@@ -358,18 +364,18 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
         "independent_constraints": n_independent,
     }
     if witness is not None:
-        value, maximizers = polytope.algebraic_max(witness)
+        value, count, first = polytope.algebraic_max(witness)
         text += [
             f"witness: {witness.id}",
             f"algebraic max: {value:g}",
-            f"maximizers: {len(maximizers)}",
-            f"first maximizer: {_format_strategy(maximizers[0])}",
+            f"maximizers: {count}",
+            f"first maximizer: {_format_strategy(first)}",
         ]
         machine.update(
             witness=witness.id,
             algebraic_max=value,
-            num_maximizers=len(maximizers),
-            first_maximizer=[list(moves) for moves in maximizers[0].moves],
+            num_maximizers=count,
+            first_maximizer=[list(moves) for moves in first.moves],
         )
     _emit(args, text, machine)
     return EXIT_OK

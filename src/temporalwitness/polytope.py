@@ -10,7 +10,6 @@ assigning an outcome to every setting prefix.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -160,9 +159,10 @@ def enumerate_deterministic_strategies(scenario: Scenario) -> Iterator[Determini
         yield DeterministicStrategy(scenario=scenario, moves=tuple(combo))
 
 
-def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]:
-    """Exact maximum of a witness over all deterministic strategies,
-    together with every maximizer (lexicographic order).
+def algebraic_max(witness: Witness) -> tuple[float, int, DeterministicStrategy]:
+    """Exact maximum of a witness over all deterministic strategies, the
+    number of strategies that reach it, and the first of them in
+    enumeration order.
 
     A backward loop over the levels of the history tree takes the best
     outcome at each node, a history and its next setting, and sums over
@@ -170,8 +170,10 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
     lead to a term are kept. Any other history is worth 0 whatever
     follows, so every outcome ties at each setting prefix below it. The
     maximizers are the strategies that pick a best outcome (to within
-    1e-12) at every history on their path, so they are counted exactly,
-    and then built, without enumerating the other strategies.
+    1e-12) at every history on their path, so they are counted exactly
+    without enumerating any strategy. The first maximizer takes, at each
+    setting prefix in enumeration order, the lowest best outcome at the
+    history its earlier moves lead to.
     """
     sc = witness.scenario
     m, d, length = sc.settings, sc.outcomes, sc.length
@@ -180,7 +182,7 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
         history = tuple(v for pair in zip(settings, outcomes) for v in pair)
         values[history] = values.get(history, 0.0) + coeff
     counts = dict.fromkeys(values, 1)  # maximizing continuations of each history
-    best: list[dict[tuple[int, ...], list[int]]] = []
+    best: list[dict[tuple[int, ...], int]] = []  # the lowest best outcome per node
     for t in range(length, 0, -1):
         # A history of t steps that leads to no term leaves every outcome
         # of its later setting prefixes tied.
@@ -189,11 +191,12 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
         for node in sorted({history[:-1] for history in values}):
             row = [values.get((*node, a), 0.0) for a in range(d)]
             top = max(row)
-            step_best[node] = [a for a in range(d) if row[a] >= top - 1e-12]
+            tied = [a for a in range(d) if row[a] >= top - 1e-12]
+            step_best[node] = tied[0]
             parent = node[:-1]
             up_values[parent] = up_values.get(parent, 0.0) + top
             up_counts[parent] = up_counts.get(parent, 1) * sum(
-                counts.get((*node, a), free) for a in step_best[node])
+                counts.get((*node, a), free) for a in tied)
             nodes[parent] = nodes.get(parent, 0) + 1
         # Each setting that leads to no term has all d outcomes tied.
         counts = {parent: count * (d * free) ** (m - nodes[parent])
@@ -201,27 +204,17 @@ def algebraic_max(witness: Witness) -> tuple[float, list[DeterministicStrategy]]
         values = up_values
         best.append(step_best)
     best.reverse()
-    count = counts.get((), num_deterministic_strategies(sc))
-    if count > ENUMERATION_GUARD:
-        raise GuardExceeded(
-            f"about 10^{math.log10(count):.1f} maximizing strategies exceed the guard")
 
-    # Extend the partial maximizers node by node in enumeration order, each
-    # by every best outcome at the history its moves lead the node to.
-    partial: list[dict[tuple[int, ...], int]] = [{}]
-    for t in range(sc.length):
-        for prefix in itertools.product(range(sc.settings), repeat=t + 1):
-            extended = []
-            for moves in partial:
-                history = [v for s in range(t) for v in (prefix[s], moves[prefix[: s + 1]])]
-                for a in best[t].get((*history, prefix[t]), range(d)):
-                    extended.append({**moves, prefix: a})
-            partial = extended
-    maximizers = [
-        DeterministicStrategy(scenario=sc, moves=tuple(
-            tuple(a for prefix, a in moves.items() if len(prefix) == t)
-            for t in range(1, sc.length + 1)
-        ))
-        for moves in partial
-    ]
-    return float(values.get((), 0.0)), maximizers
+    histories: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}  # setting prefix -> history
+    moves = []
+    for t in range(length):
+        step_moves, step_histories = [], {}
+        for prefix in itertools.product(range(m), repeat=t + 1):
+            node = (*histories[prefix[:-1]], prefix[-1])
+            outcome = best[t].get(node, 0)
+            step_moves.append(outcome)
+            step_histories[prefix] = (*node, outcome)
+        moves.append(tuple(step_moves))
+        histories = step_histories
+    first = DeterministicStrategy(scenario=sc, moves=tuple(moves))
+    return float(values.get((), 0.0)), counts.get((), num_deterministic_strategies(sc)), first

@@ -11,14 +11,13 @@ the grammar as anchors for the classical readout-noise model.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import qcore
-from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra, pauli_matrices
+from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra
 from .scenario import OUTCOME_LABELS
 
 
@@ -33,30 +32,13 @@ class PulsePrimitive(enum.Enum):
     COOL = "C"
 
 
-_UNITARY_PRIMITIVES = (PulsePrimitive.PI01, PulsePrimitive.PI02, PulsePrimitive.IDLE)
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Unintended-but-fixed phases picked up by each unitary primitive.
-
-    They provably cancel in every ideal protocol probability (all states
-    involved are basis states); a property test asserts this.
-    """
-
-    pi01: float = 0.0
-    pi02: float = 0.0
-    idle: tuple[float, float] = (0.0, 0.0)
-
-
-def _unitary_for(prim: PulsePrimitive, phases: PhaseConfig) -> np.ndarray:
-    if prim is PulsePrimitive.PI01:
-        return qcore.pi01(phases.pi01)
-    if prim is PulsePrimitive.PI02:
-        return qcore.pi02(phases.pi02)
-    if prim is PulsePrimitive.IDLE:
-        return qcore.idle(*phases.idle)
-    raise ValueError(f"{prim} is not a unitary primitive")
+# The unitary primitives on the qutrit: pi01 and pi02 swap level 0 with
+# level 1 or 2, and I idles.
+_UNITARIES = {
+    PulsePrimitive.PI01: -1j * (ketbra(3, 0, 1) + ketbra(3, 1, 0)) + ketbra(3, 2, 2),
+    PulsePrimitive.PI02: -1j * (ketbra(3, 0, 2) + ketbra(3, 2, 0)) + ketbra(3, 1, 1),
+    PulsePrimitive.IDLE: identity(3),
+}
 
 
 def parse_pulse_token(token: str) -> PulsePrimitive:
@@ -69,7 +51,6 @@ def parse_pulse_token(token: str) -> PulsePrimitive:
 def measure_and_prepare_from_pulses(
     block: Sequence[PulsePrimitive],
     bright_outcome: str,
-    phases: PhaseConfig = PhaseConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpret a measurement block ``U D C P0 U'`` on the qutrit.
 
@@ -86,19 +67,19 @@ def measure_and_prepare_from_pulses(
     if len(block) != 5:
         raise ValueError("measurement block must have exactly 5 primitives")
     if (
-        block[0] not in _UNITARY_PRIMITIVES
+        block[0] not in _UNITARIES
         or block[1] is not PulsePrimitive.DETECT
         or block[2] is not PulsePrimitive.COOL
         or block[3] is not PulsePrimitive.P0
-        or block[4] not in _UNITARY_PRIMITIVES
+        or block[4] not in _UNITARIES
     ):
         raise ValueError(
             "measurement block must match the grammar: unitary, D, C, P0, unitary"
         )
-    u = _unitary_for(block[0], phases)
+    u = _UNITARIES[block[0]]
     bright = u.conj().T @ (ketbra(3, 1, 1) + ketbra(3, 2, 2)) @ u
     dark = u.conj().T @ ketbra(3, 0, 0) @ u
-    prepared = _unitary_for(block[4], phases) @ basis_ket(3, 0)
+    prepared = _UNITARIES[block[4]] @ basis_ket(3, 0)
     effects = (bright, dark) if bright_outcome == OUTCOME_LABELS[0] else (dark, bright)
     return np.array(effects), np.outer(prepared, prepared.conj())
 
@@ -191,12 +172,11 @@ class ProtocolSpec:
     initial_level: int
     rows: tuple[MeasurementRow, ...]
 
-    def build(self, phases: PhaseConfig = PhaseConfig()) -> Protocol:
+    def build(self) -> Protocol:
         if self.dim != 3:
             raise ValueError("pulse-block protocols are defined on the qutrit")
         steps = [
-            measure_and_prepare_from_pulses(row.block, row.bright_outcome, phases)
-            for row in self.rows
+            measure_and_prepare_from_pulses(row.block, row.bright_outcome) for row in self.rows
         ]
         initial = basis_ket(self.dim, self.initial_level)
         return Protocol(
@@ -225,56 +205,13 @@ OPTIMAL_PULSES: dict[str, ProtocolSpec] = {
 OPTIMAL_PULSES["T"] = OPTIMAL_PULSES["B1"]
 
 
-def optimal_protocol(witness_id: str, phases: PhaseConfig = PhaseConfig()) -> Protocol:
+def optimal_protocol(witness_id: str) -> Protocol:
     """The qutrit protocol reaching the algebraic maximum of a registry witness."""
     try:
         spec = OPTIMAL_PULSES[witness_id]
     except KeyError:
         raise KeyError(f"no optimal protocol for witness {witness_id!r}") from None
-    return spec.build(phases)
-
-
-# ---------------------------------------------------------------------------
-# Extremal qubit measurements
-# ---------------------------------------------------------------------------
-
-def extremal_qubit_measurements(
-    p: float, q: float, cos_gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The extremal two-outcome qubit measurement pair, as the ``(2, 2, 2,
-    2)`` arrays ``(effects, preparations)`` that :class:`Protocol` takes.
-
-    Effects are ``E(+|0) = [(2-p) 1 + p c.sigma]/2`` and its complement
-    (computed by exact subtraction, so the pair sums to the identity
-    exactly), and the analogue with ``q`` and ``d``, where ``c`` points
-    along the first axis and ``d`` lies in the 1-2 plane at relative angle
-    ``gamma``. Setting 0 prepares, on either outcome, the Bloch vector
-    along ``p X0 c - q X1 d`` and setting 1 its opposite; these realize
-    the optimal qubit value of the three-step witness.
-    """
-    for name, val in (("p", p), ("q", q)):
-        if not -1e-12 <= val <= 1.0 + 1e-12:
-            raise ValueError(f"{name}={val} outside [0, 1]")
-    cg = qcore.clamp_cos_gamma(cos_gamma)
-    c = np.array([1.0, 0.0, 0.0])
-    d = np.array([cg, math.sqrt(max(0.0, 1.0 - cg * cg)), 0.0])
-
-    sig = pauli_matrices()
-    plus = [
-        0.5 * ((2.0 - s) * identity(2) + s * np.einsum("i,ijk->jk", n, sig))
-        for s, n in ((p, c), (q, d))
-    ]
-
-    root = math.sqrt(max(0.0, p * p + q * q - 2.0 * p * q * cg))
-    x0 = 2.0 - p + q + root
-    x1 = p + 2.0 - q + root
-    axis = p * x0 * c - q * x1 * d
-    norm = float(np.linalg.norm(axis))
-    alpha = axis / norm if norm > 1e-12 else c
-    prepared = (qcore.bloch_to_state(alpha), qcore.bloch_to_state(-alpha))
-
-    effects = np.array([[e, identity(2) - e] for e in plus])
-    return effects, np.array([[prep, prep] for prep in prepared])
+    return spec.build()
 
 
 # ---------------------------------------------------------------------------

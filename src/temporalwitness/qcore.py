@@ -1,16 +1,15 @@
 """Dense matrix helpers for the measure-and-prepare model.
 
 The module holds the state and effect checks, which test a whole stack of
-matrices on its last two axes in one pass; the qutrit pulse unitaries;
-the Bloch helpers for qubits; and the clamp on the cosine between two
-effect axes. Every state, effect and unitary is a plain complex array, and
+matrices on its last two axes in one pass; the basis kets and matrix units
+that the pulse unitaries are built from; the check on Bloch-parametrized
+effect parameters; and the clamp on the cosine between two effect axes.
+Every state, effect and unitary is a plain complex array, and
 ``protocols.Protocol`` is where they are checked. Dimension is a runtime
 parameter: the library uses dims 2 and 3, and no check assumes a size.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -58,18 +57,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def pauli_matrices() -> np.ndarray:
-    """The three Pauli matrices, shape ``(3, 2, 2)``."""
-    return np.array(
-        [
-            [[0, 1], [1, 0]],
-            [[0, -1j], [1j, 0]],
-            [[1, 0], [0, -1]],
-        ],
-        dtype=complex,
-    )
-
-
 def basis_ket(dim: int, index: int) -> np.ndarray:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
@@ -83,38 +70,6 @@ def ketbra(dim: int, i: int, j: int) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[i, j] = 1.0
     return mat
-
-
-def pi01(phase: float = 0.0) -> np.ndarray:
-    """Qutrit unitary swapping levels 0 and 1; the spectator level 2 picks
-    up an unintended but fixed phase."""
-    return -1j * (ketbra(3, 0, 1) + ketbra(3, 1, 0)) + np.exp(1j * phase) * ketbra(3, 2, 2)
-
-
-def pi02(phase: float = 0.0) -> np.ndarray:
-    """Qutrit unitary swapping levels 0 and 2, with a free phase on level 1."""
-    return -1j * (ketbra(3, 0, 2) + ketbra(3, 2, 0)) + np.exp(1j * phase) * ketbra(3, 1, 1)
-
-
-def idle(phase1: float = 0.0, phase2: float = 0.0) -> np.ndarray:
-    """Qutrit idling (free evolution), with free phases on levels 1 and 2."""
-    return (
-        ketbra(3, 0, 0)
-        + np.exp(1j * phase1) * ketbra(3, 1, 1)
-        + np.exp(1j * phase2) * ketbra(3, 2, 2)
-    )
-
-
-def bloch_to_state(alpha: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Qubit state ``(1 + alpha . sigma) / 2`` from a Bloch vector of norm
-    at most 1."""
-    vec = np.asarray(alpha, dtype=float).reshape(-1)
-    if vec.shape != (3,):
-        raise ValueError("Bloch vector must have 3 components")
-    norm = float(np.linalg.norm(vec))
-    if not norm <= 1.0 + TRACE_TOL:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return 0.5 * (identity(2) + np.einsum("i,ijk->jk", vec, pauli_matrices()))
 
 
 def check_bloch_parameters(a: float, b: float) -> None:

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .protocols import Protocol
-from .scenario import Scenario, Witness, encode_sequence, format_header, sequence_labels
+from .scenario import Scenario, Witness, format_header, sequence_labels
 
 
 def __getattr__(name: str):
@@ -97,12 +97,6 @@ class CorrelationTable:
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-
-    def prob(self, settings: Sequence[int], outcomes: Sequence[int]) -> float:
-        i = encode_sequence(settings, self.scenario.settings)
-        j = encode_sequence(outcomes, self.scenario.outcomes)
-        return float(self.probs[i, j])
-
 
 
 # ---------------------------------------------------------------------------

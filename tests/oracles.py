@@ -12,6 +12,10 @@ references for the randomized comparisons in ``test_oracles.py``. The
 table and counts-file writers and readers decode, parse and encode every
 label cell by cell, and ``strategy_to_table`` writes a deterministic
 strategy's 0/1 table one setting sequence at a time.
+
+The qubit helpers (the Pauli matrices, Bloch states and the extremal
+measurement pair) and ``prob``, which reads one table entry by its
+sequences, serve only the tests and live here for that reason.
 """
 
 import itertools
@@ -24,7 +28,13 @@ from scipy.optimize import minimize
 
 from temporalwitness import stats
 from temporalwitness.polytope import aot_constraints, enumerate_deterministic_strategies
-from temporalwitness.qcore import PSD_TOL, check_bloch_parameters, identity, pauli_matrices
+from temporalwitness.qcore import (
+    PSD_TOL,
+    TRACE_TOL,
+    check_bloch_parameters,
+    clamp_cos_gamma,
+    identity,
+)
 from temporalwitness.scenario import (
     OUTCOME_LABELS,
     Scenario,
@@ -240,6 +250,23 @@ def nested_bound(witness, ops):
     return value(())
 
 
+def pauli_matrices():
+    """The three Pauli matrices, shape ``(3, 2, 2)``."""
+    return np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def bloch_to_state(alpha):
+    """Qubit state ``(1 + alpha . sigma) / 2`` from a Bloch vector of norm
+    at most 1."""
+    vec = np.asarray(alpha, dtype=float).reshape(-1)
+    if vec.shape != (3,):
+        raise ValueError("Bloch vector must have 3 components")
+    norm = float(np.linalg.norm(vec))
+    if not norm <= 1.0 + TRACE_TOL:
+        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    return 0.5 * (identity(2) + np.einsum("i,ijk->jk", vec, pauli_matrices()))
+
+
 def bloch_effect(a, b, n):
     """Qubit effect ``a (1 + b n . sigma)`` with ``n`` a unit vector, for
     ``b in [0, 1]`` and ``a in [0, 1/(1+b)]``."""
@@ -272,6 +299,40 @@ def effect_ops(a0, b0, a1, b1, cos_gamma):
     return np.array(ops)
 
 
+def extremal_qubit_measurements(p, q, cos_gamma):
+    """The extremal two-outcome qubit measurement pair, as the ``(2, 2, 2,
+    2)`` arrays ``(effects, preparations)`` that ``Protocol`` takes.
+
+    Effects are ``E(+|0) = [(2-p) 1 + p c.sigma]/2`` and its complement
+    (computed by exact subtraction, so the pair sums to the identity
+    exactly), and the analogue with ``q`` and ``d``, where ``c`` points
+    along the first axis and ``d`` lies in the 1-2 plane at relative angle
+    ``gamma``. Setting 0 prepares, on either outcome, the Bloch vector
+    along ``p X0 c - q X1 d`` and setting 1 its opposite; these realize
+    the optimal qubit value of the three-step witness.
+    """
+    for name, val in (("p", p), ("q", q)):
+        if not -1e-12 <= val <= 1.0 + 1e-12:
+            raise ValueError(f"{name}={val} outside [0, 1]")
+    cg = clamp_cos_gamma(cos_gamma)
+    c = np.array([1.0, 0.0, 0.0])
+    d = np.array([cg, math.sqrt(max(0.0, 1.0 - cg * cg)), 0.0])
+    sig = pauli_matrices()
+    plus = [
+        0.5 * ((2.0 - s) * identity(2) + s * np.einsum("i,ijk->jk", n, sig))
+        for s, n in ((p, c), (q, d))
+    ]
+    root = math.sqrt(max(0.0, p * p + q * q - 2.0 * p * q * cg))
+    x0 = 2.0 - p + q + root
+    x1 = p + 2.0 - q + root
+    axis = p * x0 * c - q * x1 * d
+    norm = float(np.linalg.norm(axis))
+    alpha = axis / norm if norm > 1e-12 else c
+    prepared = (bloch_to_state(alpha), bloch_to_state(-alpha))
+    effects = np.array([[e, identity(2) - e] for e in plus])
+    return effects, np.array([[prep, prep] for prep in prepared])
+
+
 def refine(objective, start, box, budget):
     """scipy's Nelder-Mead ascent from ``start`` inside ``box``. Returns
     (value, point, evaluations)."""
@@ -294,6 +355,13 @@ def grid_top_ten(objective_batch, axes):
     flat = objective_batch([axis[i] for axis, i in zip(axes, index)])
     order = np.argsort(-flat, kind="stable")[:10]
     return order, flat[order]
+
+
+def prob(table, settings, outcomes):
+    """The table entry of an outcome sequence given a setting sequence."""
+    sc = table.scenario
+    return float(table.probs[encode_sequence(settings, sc.settings),
+                             encode_sequence(outcomes, sc.outcomes)])
 
 
 def outcome_sequence(strategy, settings):

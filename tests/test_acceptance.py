@@ -65,10 +65,10 @@ def test_criterion_1_algebraic_maxima():
     ok = True
     details = []
     for wid in ("B1", "B2", "B3", "B4"):
-        value, _ = polytope.algebraic_max(get_witness(wid))
+        value, _, _ = polytope.algebraic_max(get_witness(wid))
         ok &= value == 4.0
         details.append(f"{wid}={value:g}")
-    value, _ = polytope.algebraic_max(get_witness("T"))
+    value, _, _ = polytope.algebraic_max(get_witness("T"))
     ok &= value == 8.0
     details.append(f"T={value:g}")
     elapsed = time.perf_counter() - start

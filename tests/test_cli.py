@@ -303,6 +303,18 @@ class TestPolytope:
         code, _, err = run(capsys, "polytope")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_scenario_the_witness_lacks_is_rejected(self, capsys, fmt):
+        # It used to be ignored: the B1 report, for length 2, exited 0.
+        code, out, err = run(capsys, "polytope", "B1", "--scenario", "5", "2", "2",
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "--scenario 5 2 2 does not match witness B1, whose scenario is 2 2 2" in err
+
+    def test_scenario_the_witness_has_is_accepted(self, capsys):
+        assert run(capsys, "polytope", "B1", "--scenario", "2", "2", "2") \
+            == run(capsys, "polytope", "B1")
+
 
 class TestCountsFiles:
     def test_round_trip(self, tmp_path):
@@ -404,6 +416,29 @@ def test_certify_reports_pinned(capsys, tmp_path, witness, noisy, discarded, dig
         counts = stats.CountsTable(counts.scenario, counts.counts, discarded=discarded)
         path.write_text(format_counts_file(counts, witness_id=witness_id))
     code, out, _ = run(capsys, "certify", str(path), "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `polytope W` in text and machine format, recorded at commit
+# 85317d3, when the first maximizer came from a list of every maximizer.
+POLYTOPE_DIGESTS = [
+    ("B1", "text", "9d9c61af50ddd963588497acd6a9f4651b80ae491f2467ed9d41ded065d1065a"),
+    ("B1", "machine", "13e79ffe3891341a810017f50417588f2b3d322e555fef2cb48f6f4523ef310f"),
+    ("B2", "text", "3fddcc74f598eba013ab0a4c8ceb141d81ddbb9cb6c1d61016e2ff1f89403585"),
+    ("B2", "machine", "dfc2cdde3363d58b22970276291331496c9d9b237bc24dda5d22d47779c434b8"),
+    ("B3", "text", "5efdfa509eeccb3276b9f9d0dd582376c224e2d1424c9b1931e4de0080af241e"),
+    ("B3", "machine", "260bea68871e1bfa55e0740df2f0d0f74e91b728ae4bcd2080968bd9949acead"),
+    ("B4", "text", "f26803f8626b733e268c5182823ea25ecc08235eee3af7a050c056eec243006e"),
+    ("B4", "machine", "79744c188bdf982bb50f1d61422975da33842a03ac3a482e01c07c7661617d07"),
+    ("T", "text", "0ef6e7e9301043135e8b9cf8ff4080f08eb7caa1dbe00fd6fa3e649ccc17eebf"),
+    ("T", "machine", "94e5344c03ec6454aa22b1fc7557bac6d4681499c0742b3df80ab87b58a6fce3"),
+]
+
+
+@pytest.mark.parametrize("witness, fmt, digest", POLYTOPE_DIGESTS)
+def test_polytope_reports_pinned(capsys, witness, fmt, digest):
+    code, out, _ = run(capsys, "polytope", witness, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

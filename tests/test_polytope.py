@@ -1,12 +1,13 @@
 """Tests for AoT constraints, deterministic strategies, and algebraic maxima."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import util
-from oracles import strategy_to_table
+from oracles import outcome_sequence, prob, strategy_to_table
 from temporalwitness import GuardExceeded, polytope, protocols, simulator
 from temporalwitness.polytope import (
     algebraic_max,
@@ -125,7 +126,7 @@ class TestStrategyTables:
         table = strategy_to_table(strategy)
         for x_idx in range(4):
             x_seq = decode_index(x_idx, 2, 2)
-            assert table.prob(x_seq, (0, 0)) == 1.0
+            assert prob(table, x_seq, (0, 0)) == 1.0
 
     def test_first_witness_maximizer(self):
         # f1 = "+", f2 = "+" iff the two settings agree: the extreme point
@@ -148,27 +149,26 @@ class TestStrategyTables:
 class TestAlgebraicMax:
     def test_registry_maxima(self):
         for wid in ("B1", "B2", "B3", "B4"):
-            value, maximizers = algebraic_max(get_witness(wid))
-            assert value == 4.0
-            assert len(maximizers) == 1
-        value, maximizers = algebraic_max(get_witness("T"))
-        assert value == 8.0
-        assert len(maximizers) == 1
+            value, count, _ = algebraic_max(get_witness(wid))
+            assert (value, count) == (4.0, 1)
+        value, count, _ = algebraic_max(get_witness("T"))
+        assert (value, count) == (8.0, 1)
 
     def test_maximizer_reproduces_value(self):
         w = get_witness("T")
-        value, maximizers = algebraic_max(w)
-        table = strategy_to_table(maximizers[0])
+        value, _, first = algebraic_max(w)
+        table = strategy_to_table(first)
         assert simulator.evaluate_witness(w, table) == value
 
     def test_ties_all_reported(self):
         scenario = Scenario(2, 2, 2)
         w = Witness(id="single", scenario=scenario, terms=((
             (0, 0), (0, 0), 1.0),))
-        value, maximizers = algebraic_max(w)
+        value, count, first = algebraic_max(w)
         assert value == 1.0
         # f1(0) and f2(00) pinned; f1(1) and the three other f2 entries free.
-        assert len(maximizers) == 2 ** 4
+        assert count == 2 ** 4
+        assert first.moves == ((0, 0), (0, 0, 0, 0))
 
     def test_unique_maximizer_beyond_enumeration_guard(self):
         # 2^30 strategies, but only the all-"+" one maximizes.
@@ -178,29 +178,46 @@ class TestAlgebraicMax:
             for x_seq in itertools.product(range(2), repeat=4)
             for a_seq in itertools.product(range(2), repeat=4)
         )
-        value, maximizers = algebraic_max(Witness(id="plus", scenario=scenario, terms=terms))
-        assert value == 16 * 4.0
-        assert [s.moves for s in maximizers] == [((0,) * 2, (0,) * 4, (0,) * 8, (0,) * 16)]
+        value, count, first = algebraic_max(Witness(id="plus", scenario=scenario, terms=terms))
+        assert (value, count) == (16 * 4.0, 1)
+        assert first.moves == ((0,) * 2, (0,) * 4, (0,) * 8, (0,) * 16)
 
-    def test_guard_counts_maximizers(self):
+    def test_counts_maximizers_beyond_enumeration_guard(self):
+        # 3^120 strategies; the term pins 4 setting prefixes, the other 116 are free.
         w = Witness(id="single", scenario=Scenario(4, 3, 3), terms=(((0,) * 4, (0,) * 4, 1.0),))
-        with pytest.raises(GuardExceeded):
-            algebraic_max(w)
+        value, count, first = algebraic_max(w)
+        assert (value, count) == (1.0, 3**116)
+        assert first.moves == ((0,) * 3, (0,) * 9, (0,) * 27, (0,) * 81)
 
-    def test_guard_visits_only_the_terms_histories(self):
+    def test_count_visits_only_the_terms_histories(self):
         # 2^4094 strategies, of which the 2^4072 that answer the two terms'
         # 22 setting prefixes maximize. The walk visits only those 22 nodes;
         # one over all 4^11 histories takes seconds.
         w = Witness(id="pair", scenario=Scenario(11, 2, 2),
                     terms=(((0,) * 11, (0,) * 11, 1.0), ((1,) * 11, (1,) * 11, 1.0)))
-        with pytest.raises(GuardExceeded, match=r"about 10\^1225\.8 maximizing strategies"):
-            algebraic_max(w)
+        value, count, first = algebraic_max(w)
+        assert (value, count) == (2.0, 2**4072)
+        for settings, outcomes, _ in w.terms:
+            assert outcome_sequence(first, settings) == outcomes
+
+    def test_counts_ties_in_little_memory(self):
+        # 2^16 of the 2^20 strategies maximize; a list of them took 65 MiB.
+        w = Witness(id="pair", scenario=Scenario(2, 4, 2),
+                    terms=(((0, 0), (0, 0), 1.0), ((1, 1), (1, 1), 1.0)))
+        tracemalloc.start()
+        try:
+            value, count, _ = algebraic_max(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (value, count) == (2.0, 2**16)
+        assert peak < 2**20
 
     def test_quantum_tables_stay_below(self):
         rng = np.random.default_rng(13)
         for wid, length in (("B2", 2), ("T", 3)):
             w = get_witness(wid)
-            value, _ = algebraic_max(w)
+            value, _, _ = algebraic_max(w)
             for _ in range(10):
                 protocol = util.random_qutrit_protocol(rng)
                 table = simulator.sequence_probabilities(protocol, length)

@@ -1,19 +1,18 @@
 """Tests for pulse-block measurements, the optimal protocols, protocol
-validation, and the extremal qubit measurement family."""
+validation, and the extremal qubit measurement family in ``oracles.py``."""
 
 import sys
 
 import numpy as np
 import pytest
 
-from temporalwitness import protocols, simulator
+from oracles import extremal_qubit_measurements
+from temporalwitness import protocols
 from temporalwitness.cli import main
 from temporalwitness.protocols import (
     OPTIMAL_PULSES,
-    PhaseConfig,
     Protocol,
     INT64_MAX,
-    extremal_qubit_measurements,
     format_protocol_spec,
     measure_and_prepare_from_pulses,
     optimal_protocol,
@@ -138,24 +137,6 @@ class TestOptimalProtocols:
                         )
 
 
-class TestPhaseInvariance:
-    def test_random_phases_leave_tables_unchanged(self):
-        rng = np.random.default_rng(10)
-        for wid in ("B1", "B3", "T"):
-            length = get_witness(wid).scenario.length
-            reference = simulator.sequence_probabilities(optimal_protocol(wid), length)
-            for _ in range(5):
-                phases = PhaseConfig(
-                    pi01=rng.uniform(-np.pi, np.pi),
-                    pi02=rng.uniform(-np.pi, np.pi),
-                    idle=(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)),
-                )
-                shifted = simulator.sequence_probabilities(
-                    optimal_protocol(wid, phases), length
-                )
-                assert np.allclose(shifted.probs, reference.probs, atol=1e-12)
-
-
 class TestExtremalQubitEffects:
     # effects[x, a] and preparations[x, a], with "+" at a = 0.
     def test_projective_identical_pair(self):
@@ -179,7 +160,7 @@ class TestExtremalQubitEffects:
     def test_effects_sum_to_identity_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            effects, _ = protocols.extremal_qubit_measurements(
+            effects, _ = extremal_qubit_measurements(
                 rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1)
             )
             for x in (0, 1):

@@ -1,19 +1,13 @@
-"""Unit tests for the quantum core's stacked state and effect checks, Bloch
-helpers and pulse unitaries, and for the Bloch-parametrized effect in
-``oracles.py``."""
+"""Unit tests for the quantum core's stacked state and effect checks and
+the pulse unitaries, and for the Bloch helpers in ``oracles.py``."""
 
 import numpy as np
 import pytest
 
-from oracles import bloch_effect
+from oracles import bloch_effect, bloch_to_state, pauli_matrices
 from temporalwitness import qcore
-from temporalwitness.qcore import (
-    basis_ket,
-    bloch_to_state,
-    identity,
-    ketbra,
-    pauli_matrices,
-)
+from temporalwitness.protocols import _UNITARIES, PulsePrimitive
+from temporalwitness.qcore import basis_ket, identity, ketbra
 
 
 class TestStackedChecks:
@@ -112,10 +106,10 @@ class TestBlochEffect:
 
 
 class TestUnitaries:
-    def test_constructors_are_unitary(self):
-        for u in (qcore.pi01(0.3), qcore.pi02(-0.7), qcore.idle(0.1, 0.2)):
-            assert np.allclose(u.conj().T @ u, identity(3), atol=1e-12)
+    def test_primitives_are_unitary(self):
+        for u in _UNITARIES.values():
+            assert np.array_equal(u.conj().T @ u, identity(3))
 
     def test_swap_action(self):
-        assert np.allclose(qcore.pi01() @ basis_ket(3, 0), -1j * basis_ket(3, 1))
-        assert np.allclose(qcore.pi02() @ basis_ket(3, 0), -1j * basis_ket(3, 2))
+        for prim, level in ((PulsePrimitive.PI01, 1), (PulsePrimitive.PI02, 2)):
+            assert np.allclose(_UNITARIES[prim] @ basis_ket(3, 0), -1j * basis_ket(3, level))

@@ -151,21 +151,21 @@ class TestSequenceProbabilities:
             table = sequence_probabilities(optimal_protocol(wid), 2)
             w = get_witness(wid)
             for settings, outcomes, _ in w.terms:
-                assert table.prob(settings, outcomes) == pytest.approx(1.0, abs=1e-12)
+                assert oracles.prob(table, settings, outcomes) == pytest.approx(1.0, abs=1e-12)
             assert evaluate_witness(w, table) == pytest.approx(4.0, abs=1e-12)
 
     def test_ideal_three_step_maximum(self):
         table = sequence_probabilities(optimal_protocol("T"), 3)
         w = get_witness("T")
         for settings, outcomes, _ in w.terms:
-            assert table.prob(settings, outcomes) == pytest.approx(1.0, abs=1e-12)
+            assert oracles.prob(table, settings, outcomes) == pytest.approx(1.0, abs=1e-12)
         assert evaluate_witness(w, table) == pytest.approx(8.0, abs=1e-12)
 
     def test_trivial_instrument(self):
         table = sequence_probabilities(trivial_qubit_protocol(), 2)
         for x_idx in range(4):
             x_seq = decode_index(x_idx, 2, 2)
-            assert table.prob(x_seq, (0, 0)) == pytest.approx(1.0)
+            assert oracles.prob(table, x_seq, (0, 0)) == pytest.approx(1.0)
 
     def test_rows_normalized(self):
         table = sequence_probabilities(optimal_protocol("B3"), 3)
@@ -182,7 +182,7 @@ class TestSequenceProbabilities:
                     for b in (0, 1):
                         first = np.trace(effects[x, a] @ protocol.initial_state).real
                         second = np.trace(effects[y, b] @ preparations[x, a]).real
-                        assert table.prob((x, y), (a, b)) == pytest.approx(
+                        assert oracles.prob(table, (x, y), (a, b)) == pytest.approx(
                             first * second, abs=1e-12
                         )
 

@@ -19,11 +19,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # The names the package exported by eager imports, by defining submodule.
 PUBLIC = {
-    "qcore": ["bloch_to_state"],
     "scenario": ["Scenario", "Witness", "WITNESSES", "get_witness"],
     "simulator": ["CorrelationTable", "ReadoutNoise", "apply_readout_noise", "evaluate_witness",
                   "sequence_probabilities"],
-    "protocols": ["Protocol", "extremal_qubit_measurements", "optimal_protocol"],
+    "protocols": ["Protocol", "optimal_protocol"],
     "bounds": ["BoundResult", "QubitBoundParams", "nested_generic_bound",
                "optimize_qubit_bound", "optimize_tee_bound", "tee_closed_form"],
     "polytope": ["algebraic_max", "aot_constraints", "check_aot",

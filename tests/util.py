@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from oracles import bloch_effect
+from oracles import bloch_effect, pauli_matrices
 from temporalwitness import protocols
-from temporalwitness.qcore import pauli_matrices
 
 
 def random_pure_state(rng, dim):
