@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in {
     "bounds": "BoundResult QubitBoundParams nested_generic_bound optimize_qubit_bound "
               "optimize_tee_bound tee_closed_form",
     "polytope": "algebraic_max aot_constraints check_aot enumerate_deterministic_strategies",
-    "stats": "CertificationReport ConfidenceSpec CountsTable aot_lr_test certify frequencies "
+    "stats": "CertificationReport ConfidenceSpec CountsTable aot_lr_test certify "
              "hoeffding_halfwidth qutrit_fraction sample_counts",
 }.items() for name in names.split()}
 

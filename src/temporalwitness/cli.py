@@ -5,7 +5,8 @@ Exit codes: 0 on success, 2 on invalid input, 3 when a size guard trips.
 Every command is deterministic given its inputs and seed; machine-readable
 reports embed both. Importing this module loads neither numpy nor
 ``dataclasses``: each command imports the layers it runs when it is
-dispatched, and ``polytope`` runs on the standard library alone.
+dispatched, and ``polytope`` and ``certify`` run on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def format_counts_file(
     if witness_id is not None:
         lines.append(f"witness: {witness_id}")
     x_labels, a_labels = sequence_labels(counts.scenario)
-    for x_txt, n, discarded, row in zip(x_labels, counts.repetitions.tolist(),
-                                        counts.discarded.tolist(), counts.counts.tolist()):
+    for x_txt, n, discarded, row in zip(x_labels, counts.repetitions, counts.discarded,
+                                        counts.counts):
         lines += ["", f"sequence: {x_txt}", f"n: {n}", f"discarded: {discarded}"]
         lines += [f"{a_txt} {k}" for a_txt, k in zip(a_labels, row)]
     return "\n".join(lines) + "\n"
@@ -62,11 +63,8 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     written in ASCII decimal digits with a value in ``[0, 2^63 - 1]``, and
     the sum is taken on Python ints, so no count can wrap the int64 tables.
     """
-    import numpy as np
-
     from . import stats
-    from .protocols import document_lines, natural
-    from .scenario import Scenario, sequence_indexers
+    from .scenario import Scenario, document_lines, natural, sequence_indexers
 
     lines = document_lines(text, "counts")
     starts = [i for i, ln in enumerate(lines) if ln.startswith("sequence:")] + [len(lines)]
@@ -126,9 +124,8 @@ def parse_counts_file(text: str) -> tuple[stats.CountsTable, str | None]:
     if len(rows) != scenario.num_setting_sequences:
         raise ValueError("counts file does not cover every setting sequence")
     order = range(scenario.num_setting_sequences)
-    table = stats.CountsTable(scenario=scenario,
-                              counts=np.array([rows[i] for i in order], dtype=np.int64),
-                              discarded=np.array([discarded[i] for i in order], dtype=np.int64))
+    table = stats.CountsTable(scenario=scenario, counts=[rows[i] for i in order],
+                              discarded=[discarded[i] for i in order])
     return table, witness_id
 
 
@@ -184,22 +181,23 @@ def _emit(args: argparse.Namespace, text_lines: list[str], machine: dict) -> Non
 
 
 def _table_rows(table: simulator.CorrelationTable) -> str:
-    """The machine report's rows as JSON text: ``head + repr(p) + tail`` per
-    cell, one head per outcome label and one tail per setting label, and
-    the list's brackets on the first and last cells. Entries are finite and
-    labels are digits, ``+`` and ``-``, as :func:`_emit` needs."""
+    """The machine report's rows as JSON text: the pieces ``head``,
+    ``repr(p)`` and ``tail`` per cell, one head per outcome label and one
+    tail, with the separating ``", "``, per setting label, joined once
+    between the list's brackets. Entries are finite and labels are digits,
+    ``+`` and ``-``, as :func:`_emit` needs."""
     from . import simulator
     from .scenario import sequence_labels
 
     x_labels, a_labels = sequence_labels(table.scenario)
     heads = [f'{{"outcomes": "{a_txt}", "p": ' for a_txt in a_labels]
-    tails = [f', "settings": "{x_txt}"}}' for x_txt in x_labels]
-    cells = [head + p_txt + tail
-             for tail, row in zip(tails, simulator.entry_texts(table, repr))
-             for head, p_txt in zip(heads, row)]
-    cells[0] = "[" + cells[0]
-    cells[-1] += "]"
-    return ", ".join(cells)
+    tails = [f', "settings": "{x_txt}"}}, ' for x_txt in x_labels]
+    pieces = ["["]
+    for tail, row in zip(tails, simulator.entry_texts(table, repr)):
+        for head, p_txt in zip(heads, row):
+            pieces += (head, p_txt, tail)
+    pieces[-1] = pieces[-1][:-2] + "]"
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

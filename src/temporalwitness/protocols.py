@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import COMPLETENESS_TOL, basis_ket, identity, ketbra
-from .scenario import OUTCOME_LABELS
+from .scenario import OUTCOME_LABELS, document_lines, natural
 
 
 class PulsePrimitive(enum.Enum):
@@ -212,37 +212,6 @@ def optimal_protocol(witness_id: str) -> Protocol:
     except KeyError:
         raise KeyError(f"no optimal protocol for witness {witness_id!r}") from None
     return spec.build()
-
-
-# ---------------------------------------------------------------------------
-# Text documents
-# ---------------------------------------------------------------------------
-# Protocol, table and counts files share one grammar: a `kind v1` line, `#`
-# comments, `key: value` lines whose key never repeats, ASCII decimal numbers.
-
-INT64_MAX = 2**63 - 1
-
-
-def document_lines(text: str, kind: str) -> list[str]:
-    """The stripped lines of a ``kind v1`` document after that first line,
-    without blank lines and ``#`` comments."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
-    if not lines or lines[0] != f"{kind} v1":
-        raise ValueError(f"{kind} file must start with '{kind} v1'")
-    return lines[1:]
-
-
-def natural(text: str, line: str) -> int:
-    """The number ``text`` of document ``line``: ASCII decimal digits with a
-    value in ``[0, INT64_MAX]``, the range of the int64 tables. Leading
-    zeros are dropped before ``int`` sees more than 19 digits, so its
-    settable limit on digits never decides what reads."""
-    if text.isascii() and text.isdigit():
-        if len(text) > 19:
-            text = text.lstrip("0") or "0"
-        if len(text) <= 19 and (value := int(text)) <= INT64_MAX:
-            return value
-    raise ValueError(f"line {line!r} needs a decimal integer in [0, {INT64_MAX}]")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The vocabulary every layer shares: scenarios, sequence encodings (first
-step most significant) and labels, and the witness registry. It needs only
-the standard library, so ``polytope`` runs without numpy."""
+step most significant) and labels, the grammar of the text files, and the
+witness registry. It needs only the standard library, so ``polytope`` and
+``certify`` run without numpy."""
 
 from __future__ import annotations
 
@@ -139,6 +140,34 @@ def format_header(kind: str, scenario: Scenario) -> list[str]:
             f"outcomes: {scenario.outcomes}"]
 
 
+# Protocol, table and counts files share one grammar: a `kind v1` line, `#`
+# comments, `key: value` lines whose key never repeats, ASCII decimal numbers.
+
+INT64_MAX = 2**63 - 1
+
+
+def document_lines(text: str, kind: str) -> list[str]:
+    """The stripped lines of a ``kind v1`` document after that first line,
+    without blank lines and ``#`` comments."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    if not lines or lines[0] != f"{kind} v1":
+        raise ValueError(f"{kind} file must start with '{kind} v1'")
+    return lines[1:]
+
+
+def natural(text: str, line: str) -> int:
+    """The number ``text`` of document ``line``: ASCII decimal digits with a
+    value in ``[0, INT64_MAX]``, the range of the int64 tables. Leading
+    zeros are dropped before ``int`` sees more than 19 digits, so its
+    settable limit on digits never decides what reads."""
+    if text.isascii() and text.isdigit():
+        if len(text) > 19:
+            text = text.lstrip("0") or "0"
+        if len(text) <= 19 and (value := int(text)) <= INT64_MAX:
+            return value
+    raise ValueError(f"line {line!r} needs a decimal integer in [0, {INT64_MAX}]")
+
+
 @dataclass(frozen=True, eq=False)
 class Witness:
     """A linear functional on correlation tables: a sum of selected entries.
@@ -182,15 +211,15 @@ class Witness:
             tensor[tuple(v for pair in zip(settings, outcomes) for v in pair)] += coeff
         return tensor
 
-    def score(self, array: np.ndarray) -> float:
-        """``sum coeff * array[x, a]`` over the terms, in term order, where
+    def score(self, rows: Sequence[Sequence[float]] | np.ndarray) -> float:
+        """``sum coeff * rows[x][a]`` over the terms, in term order, where
         ``x`` and ``a`` index the term's setting and outcome sequences as
         the rows and columns of a table do."""
         sc = self.scenario
         total = 0.0
         for settings, outcomes, coeff in self.terms:
             x, a = encode_sequence(settings, sc.settings), encode_sequence(outcomes, sc.outcomes)
-            total += coeff * float(array[x, a])
+            total += coeff * float(rows[x][a])
         return total
 
     @property

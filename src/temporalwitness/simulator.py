@@ -41,7 +41,7 @@ written, with entries spelled as ``"%.12g"`` writes them; no command reads
 one back. The counts reader, ``cli.parse_counts_file``, accepts only the
 labels that ``sequence_labels`` writes and the header that
 ``scenario.format_header`` writes, and follows the grammar of
-``protocols.document_lines`` and ``protocols.natural``: no key repeats and
+``scenario.document_lines`` and ``scenario.natural``: no key repeats and
 header numbers are ASCII decimal digits. Errors quote the line.
 """
 

@@ -17,20 +17,23 @@ batch. The Monte Carlo calibration scores the observed table once, then
 draws and scores the null-model replications in chunks, one multinomial
 draw and one batched statistic per chunk, with the draw stream of one draw
 per replication and setting sequence.
+Counts are Python ints, so :func:`certify` needs no numpy; the AoT test,
+its calibration and the sampler build their int64 arrays once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from . import GuardExceeded
+from .scenario import INT64_MAX, Scenario, Witness, decode_index, encode_sequence
 
-from . import GuardExceeded, polytope
-from .protocols import INT64_MAX
-from .scenario import Scenario, Witness, decode_index, encode_sequence
-from .simulator import CorrelationTable, evaluate_witness
+if TYPE_CHECKING:  # the AoT test and the sampler import numpy when they run
+    import numpy as np
+
+    from .simulator import CorrelationTable
 
 # Table cells per chunk of Monte Carlo replications drawn and scored at once.
 MC_CHUNK_CELLS = 1 << 14
@@ -48,43 +51,49 @@ class CountsTable:
     totals, so the frequencies and the reported witness value ignore them.
     The certification verdict does not: :func:`certify` scores every
     rejected shot as a failure.
+
+    Both take nested sequences or arrays of integers, not floats or bools,
+    and hold tuples of Python ints: a row of counts and one discard count
+    per setting sequence.
     """
 
     scenario: Scenario
-    counts: np.ndarray
-    discarded: np.ndarray | None = None
+    counts: tuple[tuple[int, ...], ...]
+    discarded: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         shape = (self.scenario.num_setting_sequences, self.scenario.num_outcome_sequences)
-        arr = np.asarray(self.counts)
-        if arr.shape != shape:
-            raise ValueError(f"counts must have shape {shape}, got {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
+        rows = self.counts.tolist() if hasattr(self.counts, "tolist") else self.counts
+        if _shape(rows) != shape or any(_shape(row) != shape[1:] for row in rows):
+            raise ValueError(f"counts must have shape {shape}, got {_shape(rows)}")
+        if not all(type(k) is int for row in rows for k in row):
             raise ValueError("counts must be integers")
-        if arr.min() < 0:
+        if min(map(min, rows)) < 0:
             raise ValueError("counts must be non-negative")
-        disc = self.discarded
-        disc = np.zeros(shape[0], dtype=np.int64) if disc is None else np.asarray(disc)
-        if disc.shape != (shape[0],) or not np.issubdtype(disc.dtype, np.integer):
+        disc = [0] * shape[0] if self.discarded is None else self.discarded
+        disc = disc.tolist() if hasattr(disc, "tolist") else disc
+        if _shape(disc) != shape[:1] or not all(type(d) is int for d in disc):
             raise ValueError("discarded must be one integer per setting sequence")
-        if disc.min() < 0:
+        if min(disc) < 0:
             raise ValueError("discarded counts must be non-negative")
         # The margins, the row totals and the attempted shots are int64 sums
-        # across cells and records; summed on Python ints, the total shows
-        # whether they fit.
-        if sum(arr.ravel().tolist()) + sum(disc.tolist()) > INT64_MAX:
+        # across cells and records in the AoT test; the total shows whether
+        # they fit.
+        if sum(map(sum, rows)) + sum(disc) > INT64_MAX:
             raise ValueError(f"counts and discarded shots total more than {INT64_MAX}")
-        arr = arr.astype(np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-        disc = disc.astype(np.int64)
-        disc.setflags(write=False)
-        object.__setattr__(self, "discarded", disc)
+        object.__setattr__(self, "counts", tuple(map(tuple, rows)))
+        object.__setattr__(self, "discarded", tuple(disc))
 
     @property
-    def repetitions(self) -> np.ndarray:
+    def repetitions(self) -> tuple[int, ...]:
         """Recorded shots per setting sequence."""
-        return self.counts.sum(axis=1)
+        return tuple(map(sum, self.counts))
+
+
+def _shape(values) -> tuple[int, ...]:
+    """The shape of nested lists or tuples, read along their first items."""
+    nested = isinstance(values, (list, tuple))
+    return (len(values), *_shape(values[0] if values else None)) if nested else ()
 
 
 @dataclass(frozen=True)
@@ -98,20 +107,9 @@ class ConfidenceSpec:
             raise ValueError("confidence must lie strictly between 0 and 1")
 
 
-def frequencies(counts: CountsTable) -> CorrelationTable:
-    """Empirical frequencies; every setting sequence needs at least one shot."""
-    n = counts.repetitions
-    if n.min() == 0:
-        bad = decode_index(int(np.argmin(n)), counts.scenario.settings, counts.scenario.length)
-        raise ValueError(f"setting sequence {bad} has zero repetitions")
-    return CorrelationTable(
-        scenario=counts.scenario, probs=counts.counts / n[:, None]
-    )
-
-
 def hoeffding_halfwidth(
     witness: Witness,
-    repetitions: int | np.ndarray,
+    repetitions: int | Sequence[int],
     spec: ConfidenceSpec = ConfidenceSpec(),
 ) -> float:
     """Hoeffding half-width ``t`` of the two-sided confidence interval for a
@@ -124,18 +122,23 @@ def hoeffding_halfwidth(
     the terms that name it, for which each setting sequence's frequencies
     score a variable in [0, 1] and the witness is a sum of their means.
     """
-    cells = witness.coefficients
-    bad = cells[(cells != 0.0) & (cells != 1.0)]
-    if bad.size:
+    # Each cell's coefficient, summed in term order and keyed by its history
+    # ((x_1, a_1), ..., (x_L, a_L)): the first bad cell is the first in that order.
+    cells: dict[tuple[int, ...], float] = {}
+    for settings, outcomes, coeff in witness.terms:
+        cell = tuple(zip(settings, outcomes))
+        cells[cell] = cells.get(cell, 0.0) + coeff
+    bad = [cells[cell] for cell in sorted(cells) if cells[cell] not in (0.0, 1.0)]
+    if bad:
         raise ValueError(
             "Hoeffding half-width requires 0/1 witness coefficients per cell; "
             f"got {bad[0]} (rescale the witness or derive a custom bound)"
         )
     sc = witness.scenario
-    shots = np.broadcast_to(repetitions, (sc.num_setting_sequences,))
     inv_sum = 0.0
     for settings in witness.setting_sequences:
-        n = int(shots[encode_sequence(settings, sc.settings)])
+        x = encode_sequence(settings, sc.settings)
+        n = int(repetitions[x] if hasattr(repetitions, "__len__") else repetitions)
         if n <= 0:
             raise ValueError(f"setting sequence {settings} has zero repetitions")
         inv_sum += 1.0 / (2.0 * n)
@@ -223,9 +226,13 @@ def null_model_table(counts: CountsTable) -> CorrelationTable:
     (the likelihood does not depend on them); they are completed uniformly
     so the table is a proper distribution.
     """
+    import numpy as np
+
+    from .simulator import CorrelationTable
+
     sc = counts.scenario
     probs = np.ones((1, 1))
-    for pooled, context in _pooled_levels(sc, counts.counts):
+    for pooled, context in _pooled_levels(sc, np.array(counts.counts, dtype=np.int64)):
         conditional = np.where(
             context > 0, pooled / np.maximum(context, 1), 1.0 / sc.outcomes
         )
@@ -244,6 +251,8 @@ def _log_likelihood(k: np.ndarray, n: np.ndarray, batch: tuple[int, ...]) -> np.
     one contiguous row in cell order, summed as for a lone table: a table
     scores alike alone or in a batch.
     """
+    import numpy as np
+
     terms = np.divide(k, n, out=np.ones(k.shape), where=k > 0)
     np.multiply(k, np.log(terms, out=terms), out=terms)
     return np.add.reduce(terms.reshape(math.prod(batch), -1), axis=1).reshape(batch)
@@ -270,6 +279,8 @@ def _aot_statistic(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
     of the earlier steps, the statistic is
     ``2 [sum c_L log(c_L / n_x) - sum_{t<L} sum k_t log(k_t / c_t)]``.
     """
+    import numpy as np
+
     batch = counts.shape[:-2]
     *earlier, (_, last) = _pooled_levels(scenario, counts)
     log_ratio = _log_likelihood(last, last.sum(axis=-2, keepdims=True), batch)
@@ -287,18 +298,23 @@ def aot_lr_test(counts: CountsTable) -> AotTestResult:
     sigma equivalent is the two-sided standard-normal quantile of the
     p-value.
     """
-    return _observed_aot_test(counts)
+    import numpy as np
+
+    return _observed_aot_test(counts.scenario, np.array(counts.counts, dtype=np.int64))
 
 
-def _observed_aot_test(counts: CountsTable) -> AotTestResult:
-    """:func:`aot_lr_test`. The Monte Carlo calibration calls this name,
-    so a span around the public name times only direct calls."""
-    if counts.repetitions.min() == 0:
+def _observed_aot_test(scenario: Scenario, counts: np.ndarray) -> AotTestResult:
+    """:func:`aot_lr_test` of the int64 counts array. The Monte Carlo
+    calibration calls this name, so a span around the public name times
+    only direct calls."""
+    from . import polytope
+
+    if not counts.sum(axis=1).all():
         raise ValueError("every setting sequence needs at least one shot")
-    dof = polytope.independent_constraint_count(counts.scenario)
+    dof = polytope.independent_constraint_count(scenario)
     if dof == 0:
         raise ValueError("scenario has no AoT constraints to test")
-    statistic = float(_aot_statistic(counts.scenario, counts.counts))
+    statistic = float(_aot_statistic(scenario, counts))
     p_value = _chi2_sf(statistic, dof)
     return AotTestResult(statistic, dof, p_value, _sigma_equivalent(p_value))
 
@@ -364,22 +380,25 @@ def aot_lr_test_montecarlo(
     More than ``MC_GUARD_CELLS`` replicated table cells raise
     :class:`GuardExceeded` before any draw.
     """
-    asymptotic = _observed_aot_test(counts)
+    import numpy as np
+
+    array = np.array(counts.counts, dtype=np.int64)
+    asymptotic = _observed_aot_test(counts.scenario, array)
     if replications < 1:
         raise ValueError("need at least one replication")
-    if replications * counts.counts.size > MC_GUARD_CELLS:
+    if replications * array.size > MC_GUARD_CELLS:
         raise GuardExceeded(
-            f"{replications} replications of {counts.counts.size} cells exceed the guard")
+            f"{replications} replications of {array.size} cells exceed the guard")
     null_probs = null_model_table(counts).probs
     # The statistic is a difference of sums whose rounding error is a few
     # ulp of the log-likelihoods; this tolerance is thousands of ulp, so a
     # replication that ties the observed table mathematically, such as a
     # relabelled copy, counts whatever the order of summation.
-    log_alt, log_null = _log_likelihoods(counts.scenario, counts.counts)
+    log_alt, log_null = _log_likelihoods(counts.scenario, array)
     cutoff = asymptotic.statistic - 1e-12 * max(1.0, float(abs(log_alt) + abs(log_null)))
     rng = np.random.default_rng(seed)
-    n_per_seq = counts.repetitions
-    chunk = max(1, MC_CHUNK_CELLS // counts.counts.size)
+    n_per_seq = array.sum(axis=1)
+    chunk = max(1, MC_CHUNK_CELLS // array.size)
     exceed = 0
     for start in range(0, replications, chunk):
         sampled = _draw_counts(rng, null_probs, n_per_seq, min(chunk, replications - start))
@@ -414,6 +433,8 @@ def sample_counts(
 ) -> CountsTable:
     """Draw multinomial shot counts from a correlation table, one draw per
     setting sequence."""
+    import numpy as np
+
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     sc = table.scenario
@@ -486,17 +507,31 @@ def certify(
     threshold (eight sequences at p = 1/2, 68% confidence, nominal false
     rate 16%), that rule certified falsely 10.5% of the time with 10 looks
     and 30.3% with 1,000.
+
+    The witness, ``certify --witness`` included, must likewise be fixed
+    before the data are seen. One length-2 counts file serves B1-B4, and
+    trying all four and keeping one that certifies can raise the false rate
+    up to four times the stated ``(1 - confidence) / 2``.
     """
     if witness.qubit_bound is None or witness.algebraic_max is None:
         raise ValueError(f"witness {witness.id!r} carries no dimension bounds")
     if witness.scenario != counts.scenario:
         raise ValueError("witness and counts scenarios do not match")
-    value = evaluate_witness(witness, frequencies(counts))
-    halfwidth = hoeffding_halfwidth(witness, counts.repetitions, spec)
+    shots = counts.repetitions
+    if 0 in shots:
+        bad = decode_index(shots.index(0), counts.scenario.settings, counts.scenario.length)
+        raise ValueError(f"setting sequence {bad} has zero repetitions")
     # The verdict scores every discarded shot as a failure of the witness.
-    attempted = counts.repetitions + counts.discarded
-    lower = witness.score(counts.counts / attempted[:, None])
-    lower -= hoeffding_halfwidth(witness, attempted, spec)
+    attempted = [n + d for n, d in zip(shots, counts.discarded)]
+
+    def rates(totals: Sequence[int]) -> list[list[float]]:
+        # float(k) / float(n) rounds as numpy's int64 division does; past
+        # 2^53, k / n, rounded once from the exact ratio, can differ.
+        return [[float(k) / float(n) for k in row] for row, n in zip(counts.counts, totals)]
+
+    value = witness.score(rates(shots))
+    halfwidth = hoeffding_halfwidth(witness, shots, spec)
+    lower = witness.score(rates(attempted)) - hoeffding_halfwidth(witness, attempted, spec)
     frac = qutrit_fraction(value, witness.qubit_bound, witness.algebraic_max)
     span = witness.algebraic_max - witness.qubit_bound
     return CertificationReport(
@@ -511,6 +546,6 @@ def certify(
         fraction_halfwidth=halfwidth / span,
         below_bound=frac.below_bound,
         certified=lower > witness.threshold,
-        total_shots=int(counts.repetitions.sum()),
-        total_discarded=int(counts.discarded.sum()),
+        total_shots=sum(shots),
+        total_discarded=sum(counts.discarded),
     )

@@ -14,8 +14,10 @@ label cell by cell, and ``strategy_to_table`` writes a deterministic
 strategy's 0/1 table one setting sequence at a time.
 
 The qubit helpers (the Pauli matrices, Bloch states and the extremal
-measurement pair) and ``prob``, which reads one table entry by its
-sequences, serve only the tests and live here for that reason.
+measurement pair), ``prob``, which reads one table entry by its
+sequences, and ``frequencies``, the counts divided as numpy divides int64
+arrays, serve only the tests and live here for that reason; ``certify``
+builds the certification report from those frequencies.
 """
 
 import itertools
@@ -43,7 +45,7 @@ from temporalwitness.scenario import (
     parse_outcome_sequence,
     parse_setting_sequence,
 )
-from temporalwitness.simulator import CorrelationTable
+from temporalwitness.simulator import CorrelationTable, evaluate_witness
 
 
 def branch_kraus_operators(effect, preparation):
@@ -148,7 +150,7 @@ def prefix_counts(counts):
     for x_idx in range(sc.num_setting_sequences):
         x_seq = decode_index(x_idx, sc.settings, sc.length)
         for a_idx in range(sc.num_outcome_sequences):
-            n = int(counts.counts[x_idx, a_idx])
+            n = int(counts.counts[x_idx][a_idx])
             if n == 0:
                 continue
             a_seq = decode_index(a_idx, sc.outcomes, sc.length)
@@ -186,7 +188,7 @@ def aot_log_likelihoods(counts):
     log_alt = 0.0
     for x_idx in range(sc.num_setting_sequences):
         for a_idx in range(sc.num_outcome_sequences):
-            k = int(counts.counts[x_idx, a_idx])
+            k = int(counts.counts[x_idx][a_idx])
             if k:
                 log_alt += k * math.log(k / n_per_seq[x_idx])
     num, den = prefix_counts(counts)
@@ -223,6 +225,36 @@ def aot_montecarlo_p_value(counts, replications, seed):
         if aot_statistic(sample_counts(null, counts.repetitions, rng)) >= cutoff:
             exceed += 1
     return (1 + exceed) / (replications + 1)
+
+
+def frequencies(counts):
+    """Empirical frequencies by numpy's int64 division; every setting
+    sequence needs at least one shot."""
+    n = np.array(counts.repetitions, dtype=np.int64)
+    if n.min() == 0:
+        bad = decode_index(int(np.argmin(n)), counts.scenario.settings, counts.scenario.length)
+        raise ValueError(f"setting sequence {bad} has zero repetitions")
+    return CorrelationTable(counts.scenario, np.array(counts.counts, dtype=np.int64) / n[:, None])
+
+
+def certify(witness, counts, spec=stats.ConfidenceSpec()):
+    """The report of ``stats.certify``, with every frequency divided as
+    numpy divides int64 arrays: the value from :func:`frequencies`, the
+    lower end from the counts over the attempted shots."""
+    n = np.array(counts.repetitions, dtype=np.int64)
+    attempted = n + np.array(counts.discarded, dtype=np.int64)
+    value = evaluate_witness(witness, frequencies(counts))
+    halfwidth = stats.hoeffding_halfwidth(witness, n, spec)
+    lower = witness.score(np.array(counts.counts, dtype=np.int64) / attempted[:, None])
+    lower -= stats.hoeffding_halfwidth(witness, attempted, spec)
+    frac = stats.qutrit_fraction(value, witness.qubit_bound, witness.algebraic_max)
+    return stats.CertificationReport(
+        witness_id=witness.id, value=value, halfwidth=halfwidth, confidence=spec.confidence,
+        qubit_bound=witness.qubit_bound, algebraic_max=witness.algebraic_max,
+        violation_ratio=value / witness.qubit_bound, fraction=frac.fraction,
+        fraction_halfwidth=halfwidth / (witness.algebraic_max - witness.qubit_bound),
+        below_bound=frac.below_bound, certified=lower > witness.threshold,
+        total_shots=int(n.sum()), total_discarded=int(np.sum(counts.discarded)))
 
 
 def nested_bound(witness, ops):
@@ -537,7 +569,7 @@ def format_counts_file(counts, witness_id=None):
         for a_idx in range(sc.num_outcome_sequences):
             a_seq = decode_index(a_idx, sc.outcomes, sc.length)
             lines.append(
-                f"{format_outcome_sequence(a_seq, sc)} {int(counts.counts[x_idx, a_idx])}"
+                f"{format_outcome_sequence(a_seq, sc)} {int(counts.counts[x_idx][a_idx])}"
             )
     return "\n".join(lines) + "\n"
 

@@ -191,7 +191,8 @@ def test_montecarlo_chunks_match_replication_loop(seed, dims, shots, sparsity, p
     sc = Scenario(*dims)
     counts = null_model_counts(np.random.default_rng(seed), sc, shots, sparsity, prefix_gap)
     # Chunks of ``chunk`` replications, so that boundaries fall mid-run.
-    cells = chunk * counts.counts.size + int(spare * (counts.counts.size - 1))
+    size = np.size(counts.counts)
+    cells = chunk * size + int(spare * (size - 1))
     with mock.patch.object(stats, "MC_CHUNK_CELLS", cells):
         result = stats.aot_lr_test_montecarlo(counts, replications, seed)
     assert result.p_value == oracles.aot_montecarlo_p_value(counts, replications, seed)
@@ -205,7 +206,7 @@ def test_table_scores_alike_alone_or_in_a_batch(seed, dims, shots, sparsity, gap
     # observed table, so both must sum each table's terms in the same order.
     sc = Scenario(*dims)
     rng = np.random.default_rng(seed)
-    tables = [null_model_counts(rng, sc, shots, sparsity, gaps[i % len(gaps)]).counts
+    tables = [np.array(null_model_counts(rng, sc, shots, sparsity, gaps[i % len(gaps)]).counts)
               for i in range(6)]
     stack = np.reshape(tables, shape + tables[0].shape)
 
@@ -657,6 +658,24 @@ def test_counts_writer_matches_cell_loop(seed, sc, witness_id):
     assert parsed_id == witness_id
     assert np.array_equal(parsed_counts.counts, counts.counts)
     assert np.array_equal(parsed_counts.discarded, counts.discarded)
+
+
+@ORACLE
+@given(seed=seeds, witness_id=st.sampled_from(sorted(WITNESSES)), scale=st.integers(0, 62),
+       confidence=st.floats(0.01, 0.99))
+@example(seed=0, witness_id="T", scale=62, confidence=0.68)
+def test_certify_matches_numpy_division(seed, witness_id, scale, confidence):
+    # Counts below 2^scale, and totals within int64: past 2^53 Python's
+    # k / n can part from numpy's int64 division, which certify follows.
+    w = get_witness(witness_id)
+    sc = w.scenario
+    columns = sc.num_outcome_sequences + 1
+    high = min(2**scale, (2**63 - 1) // (sc.num_setting_sequences * columns))
+    raw = np.random.default_rng(seed).integers(0, high, size=(sc.num_setting_sequences, columns))
+    raw[:, 0] += 1
+    counts = stats.CountsTable(sc, raw[:, :-1], discarded=raw[:, -1])
+    spec = stats.ConfidenceSpec(confidence)
+    assert stats.certify(w, counts, spec) == oracles.certify(w, counts, spec)
 
 
 @ORACLE

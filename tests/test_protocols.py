@@ -12,7 +12,6 @@ from temporalwitness.cli import main
 from temporalwitness.protocols import (
     OPTIMAL_PULSES,
     Protocol,
-    INT64_MAX,
     format_protocol_spec,
     measure_and_prepare_from_pulses,
     optimal_protocol,
@@ -20,7 +19,8 @@ from temporalwitness.protocols import (
     parse_pulse_token,
 )
 from temporalwitness.qcore import basis_ket, identity, ketbra
-from temporalwitness.scenario import WITNESSES, get_witness
+from temporalwitness import scenario
+from temporalwitness.scenario import INT64_MAX, WITNESSES, get_witness
 
 
 def block(tokens):
@@ -331,7 +331,7 @@ class TestProtocolFiles:
         assert out == ""
         assert repr(quoted) in err
 
-    # `natural` reads every number of the three file formats. Leading zeros
+    # `scenario.natural` reads every number of the three file formats. Leading zeros
     # are allowed however many there are, so the interpreter's limit on the
     # digits that int() converts (4300 by default, settable) decides nothing.
     @pytest.mark.parametrize("text, value", [
@@ -346,8 +346,8 @@ class TestProtocolFiles:
         try:
             if value is None:
                 with pytest.raises(ValueError, match="needs a decimal integer"):
-                    protocols.natural(text, f"n: {text}")
+                    scenario.natural(text, f"n: {text}")
             else:
-                assert protocols.natural(text, f"n: {text}") == value
+                assert scenario.natural(text, f"n: {text}") == value
         finally:
             sys.set_int_max_str_digits(saved)

@@ -1,6 +1,8 @@
 """The CLI starts on the standard library alone: numpy and each layer load
 only when a command that runs them is dispatched, and scipy never loads."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ import pytest
 
 import temporalwitness
 from temporalwitness import bounds
+from temporalwitness.cli import main
 
 SRC = str(Path(temporalwitness.__file__).resolve().parent.parent)
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,7 +31,7 @@ PUBLIC = {
     "polytope": ["algebraic_max", "aot_constraints", "check_aot",
                  "enumerate_deterministic_strategies"],
     "stats": ["CertificationReport", "ConfidenceSpec", "CountsTable", "aot_lr_test", "certify",
-              "frequencies", "hoeffding_halfwidth", "qutrit_fraction", "sample_counts"],
+              "hoeffding_halfwidth", "qutrit_fraction", "sample_counts"],
 }
 
 # Prints the loaded temporalwitness.*, numpy and scipy modules after the CLI
@@ -91,6 +94,38 @@ def test_command_loads_only_its_layers(argv, absent):
 def test_polytope_runs_on_the_standard_library(argv):
     assert loaded_modules(*argv) == {"temporalwitness.cli", "temporalwitness.polytope",
                                      "temporalwitness.scenario"}
+
+
+CERTIFY_FORMATS = [pytest.param((), id="text"),
+                   pytest.param(("--format", "machine"), id="machine")]
+
+
+@pytest.fixture(scope="module")
+def counts_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "counts.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sample", "B3", "--shots", "3000", "--noise", "0.96", "0.98",
+                     "--output", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("fmt", CERTIFY_FORMATS)
+def test_certify_runs_on_the_standard_library(counts_file, fmt):
+    # No numpy, and none of protocols, qcore, simulator or bounds.
+    assert loaded_modules("certify", str(counts_file), *fmt) == {
+        "temporalwitness.cli", "temporalwitness.scenario", "temporalwitness.stats"}
+
+
+@pytest.mark.parametrize("fmt", CERTIFY_FORMATS)
+def test_certify_prints_the_same_bytes_without_numpy(counts_file, fmt):
+    # A None entry makes every `import numpy` raise ImportError.
+    run_main = ("from temporalwitness.cli import main\n"
+                "raise SystemExit(main(sys.argv[1:]))\n")
+    argv = ("certify", str(counts_file), *fmt)
+    without = run_python("import sys\nsys.modules['numpy'] = None\n" + run_main, *argv)
+    loaded = run_python("import sys\nimport numpy\n" + run_main, *argv)
+    assert (without.returncode, without.stderr) == (loaded.returncode, loaded.stderr) == (0, "")
+    assert without.stdout == loaded.stdout and "verdict" in without.stdout
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [

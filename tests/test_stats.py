@@ -1,4 +1,4 @@
-"""Tests for frequencies, Hoeffding intervals, qutrit fractions, the AoT
+"""Tests for counts tables, Hoeffding intervals, qutrit fractions, the AoT
 likelihood-ratio test, and certification."""
 
 import hashlib
@@ -19,7 +19,6 @@ from temporalwitness.stats import (
     aot_lr_test,
     aot_lr_test_montecarlo,
     certify,
-    frequencies,
     hoeffding_halfwidth,
     null_model_table,
     qutrit_fraction,
@@ -67,11 +66,34 @@ class TestCountsTable:
         with pytest.raises(ValueError, match="integers"):
             CountsTable(sc, np.array([[0.5, 0.5]]))
 
+    def test_rejects_bools(self):
+        # numpy's bool dtype is not an integer dtype, and neither is bool here.
+        with pytest.raises(ValueError, match="integers"):
+            CountsTable(Scenario(1, 1, 2), np.array([[True, False]]))
+        with pytest.raises(ValueError, match="discarded must be one integer"):
+            CountsTable(Scenario(1, 1, 2), [[3, 7]], discarded=[True])
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"must have shape \(2, 2\), got \(1, 2\)"):
+            CountsTable(Scenario(1, 2, 2), [[3, 7]])
+        with pytest.raises(ValueError, match="must have shape"):
+            CountsTable(Scenario(1, 2, 2), [[3, 7], [1]])
+        with pytest.raises(ValueError, match="discarded must be one integer"):
+            CountsTable(Scenario(1, 2, 2), [[3, 7], [1, 0]], discarded=[[0], [0]])
+
+    def test_holds_python_ints(self):
+        counts = CountsTable(Scenario(1, 2, 2), np.array([[3, 7], [2**62, 0]], dtype=np.uint64),
+                             discarded=np.array([1, 2], dtype=np.int8))
+        assert counts.counts == ((3, 7), (2**62, 0))
+        assert counts.discarded == (1, 2)
+        assert {type(k) for k in (*counts.counts[0], *counts.counts[1], *counts.discarded)} \
+            == {int}
+
     def test_discarded_defaults_to_zero(self):
         sc = Scenario(1, 1, 2)
         counts = CountsTable(sc, np.array([[3, 7]]))
-        assert counts.discarded.tolist() == [0]
-        assert counts.repetitions.tolist() == [10]
+        assert counts.discarded == (0,)
+        assert counts.repetitions == (10,)
 
     def test_rejects_bad_discarded(self):
         sc = Scenario(1, 1, 2)
@@ -93,27 +115,27 @@ class TestCountsTable:
     def test_accepts_total_at_int64_max(self):
         counts = CountsTable(Scenario(1, 2, 2), np.array([[2**62, 0], [2**62 - 2, 0]]),
                              discarded=np.array([0, 1]))
-        assert counts.repetitions.sum() + counts.discarded.sum() == 2**63 - 1
+        assert sum(counts.repetitions) + sum(counts.discarded) == 2**63 - 1
 
 
 class TestFrequencies:
     def test_simple_ratio(self):
         sc = Scenario(1, 1, 2)
-        table = frequencies(CountsTable(sc, np.array([[500, 500]])))
+        table = oracles.frequencies(CountsTable(sc, np.array([[500, 500]])))
         assert table.probs[0, 0] == 0.5
 
     def test_one_hot_counts_pass_aot(self):
         sc = Scenario(2, 2, 2)
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[:, 0] = 1000
-        table = frequencies(CountsTable(sc, counts))
+        table = oracles.frequencies(CountsTable(sc, counts))
         assert polytope.check_aot(table, tol=0.0) == []
 
     def test_zero_repetitions_rejected(self):
         sc = Scenario(1, 2, 2)
         counts = np.array([[10, 0], [0, 0]])
         with pytest.raises(ValueError, match="zero repetitions"):
-            frequencies(CountsTable(sc, counts))
+            oracles.frequencies(CountsTable(sc, counts))
 
     def test_multinomial_concentration(self):
         # Sampling the ideal table is deterministic (all mass on one
@@ -122,13 +144,13 @@ class TestFrequencies:
         w = get_witness("B1")
         ideal = simulator.sequence_probabilities(protocols.optimal_protocol("B1"), 2)
         sampled = sample_counts(ideal, 1000, rng=0)
-        assert simulator.evaluate_witness(w, frequencies(sampled)) == pytest.approx(4.0)
+        assert simulator.evaluate_witness(w, oracles.frequencies(sampled)) == pytest.approx(4.0)
         noisy = noisy_table("B1")
         expect = simulator.evaluate_witness(w, noisy)
         rng = np.random.default_rng(18)
         for _ in range(20):
             sampled = sample_counts(noisy, 1000, rng)
-            value = simulator.evaluate_witness(w, frequencies(sampled))
+            value = simulator.evaluate_witness(w, oracles.frequencies(sampled))
             assert abs(value - expect) < 3 * math.sqrt(4 / 1000)
 
 
@@ -202,6 +224,14 @@ class TestHoeffding:
         assert w.coefficients.max() == 2.0
         with pytest.raises(ValueError, match="0/1 witness coefficients per cell; got 2.0"):
             hoeffding_halfwidth(w, 100)
+
+    def test_names_the_first_bad_cell_in_history_order(self):
+        # The terms name (11, ++) before (00, ++); the error names the cell
+        # that comes first in history order, as a scan of the tensor would.
+        sc = Scenario(2, 2, 2)
+        terms = (((1, 1), (0, 0), 3.0), ((0, 0), (0, 0), 2.0))
+        with pytest.raises(ValueError, match="per cell; got 2.0 "):
+            hoeffding_halfwidth(Witness(id="scaled", scenario=sc, terms=terms), 1000)
 
     # The widths at 100 shots and 68% before the per-cell check.
     @pytest.mark.parametrize("wid, width", [
@@ -289,11 +319,12 @@ class TestAotLrTest:
         table = noisy_table("B2")
         counts = sample_counts(table, 1000, rng)
         sc = counts.scenario
-        flipped = np.zeros_like(counts.counts)
+        original_counts = np.array(counts.counts)
+        flipped = np.zeros_like(original_counts)
         for j in range(sc.num_outcome_sequences):
             a_seq = decode_index(j, sc.outcomes, sc.length)
             k = encode_sequence(tuple(1 - a for a in a_seq), sc.outcomes)
-            flipped[:, k] = counts.counts[:, j]
+            flipped[:, k] = original_counts[:, j]
         original = aot_lr_test(counts).statistic
         relabeled = aot_lr_test(CountsTable(sc, flipped)).statistic
         assert relabeled == pytest.approx(original, abs=1e-10)
@@ -371,7 +402,7 @@ class TestAotLrTest:
 
     def test_montecarlo_guard_counts_replicated_cells(self, monkeypatch):
         counts = sample_counts(noisy_table("B2"), 100, rng=29)
-        monkeypatch.setattr(stats, "MC_GUARD_CELLS", 10 * counts.counts.size)
+        monkeypatch.setattr(stats, "MC_GUARD_CELLS", 10 * np.size(counts.counts))
         assert aot_lr_test_montecarlo(counts, replications=10, seed=30).replications == 10
         monkeypatch.setattr(stats, "_draw_counts", lambda *args: pytest.fail("drew counts"))
         with pytest.raises(GuardExceeded, match="11 replications of 16 cells exceed the guard"):
@@ -479,6 +510,14 @@ class TestCertify:
         # A few discards leave the verdict standing.
         assert certify(w, CountsTable(w.scenario, counts, discarded=np.full(4, 10))).certified
 
+    def test_zero_repetitions_named_in_table_order(self):
+        # B1 reads its rows in the order 00, 11, 01, 10. With rows 10 and 11
+        # empty, the error names 10, the first empty row of the table.
+        counts = np.array(table_one_counts("B1").counts)
+        counts[2:] = 0
+        with pytest.raises(ValueError, match=r"^setting sequence \(1, 0\) has zero repetitions$"):
+            certify(get_witness("B1"), CountsTable(Scenario(2, 2, 2), counts))
+
     def test_scenario_mismatch(self):
         with pytest.raises(ValueError, match="do not match"):
             certify(get_witness("T"), table_one_counts("B1"))
@@ -518,4 +557,4 @@ class TestSampleCounts:
     def test_row_totals(self):
         table = noisy_table("B1")
         counts = sample_counts(table, [100, 200, 300, 400], rng=32)
-        assert counts.repetitions.tolist() == [100, 200, 300, 400]
+        assert counts.repetitions == (100, 200, 300, 400)
